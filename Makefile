@@ -1,6 +1,6 @@
 # Convenience targets. The canonical gate is `make check`.
 
-.PHONY: build test bench check check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
+.PHONY: build test bench check check-kernels check-robust check-analysis check-perfbench check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
 
 build:
 	cargo build --release
@@ -23,9 +23,9 @@ bench:
 	cargo run -q --release -p dagfact-bench --bin kernels_bench
 
 # The full gate: kernels + robustness + static-analysis + memory-budget +
-# observability + concurrency-verification + serving + distributed
-# suites.
-check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist
+# observability + concurrency-verification + serving + distributed +
+# benchmark-harness suites.
+check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-perfbench
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
 # SIMD-vs-portable fuzz suite, a forced-scalar build+test leg
@@ -47,11 +47,13 @@ check-robust:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Static-analysis gate: the unwrap lint, the graph-verifier suites, the
-# 9-proxies x 3-factos x 3-engines sweep (release: the graphs are large),
-# and a warning-free clippy pass.
+# golden analysis fingerprints including the nine Table-I proxies
+# (release: the graphs are large), the 9-proxies x 3-factos x 3-engines
+# sweep, and a warning-free clippy pass.
 check-analysis: lint-strict
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt verify
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test verify_graph
+	RUST_BACKTRACE=1 cargo test -q --release -p dagfact-bench --test analysis_golden -- --include-ignored
 	cargo run -q --release -p dagfact-bench --bin verify_sweep
 	cargo clippy --workspace --all-targets -- -D warnings
 
@@ -97,6 +99,12 @@ check-dist:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test dist_exec
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli dist
 	cargo run -q --release -p dagfact-bench --bin distsweep
+
+# Benchmark-harness gate: the perfbench package's own tests (metric
+# coverage, answer-check teeth, stage oracle, seed determinism). perfbench
+# is a separate Cargo package outside the workspace.
+check-perfbench:
+	RUST_BACKTRACE=1 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 # Concurrency-verification gate (DESIGN.md §11): exhaustive loom models
 # of the six runtime protocols, then the best-effort real-execution

@@ -17,6 +17,18 @@ use dagfact_symbolic::supernode::{
 };
 use dagfact_symbolic::FactoKind;
 
+/// Run `f`, recorded as phase `label` when a recorder is attached.
+fn phase<R>(
+    trace: Option<&dagfact_rt::TraceRecorder>,
+    label: &'static str,
+    f: impl FnOnce() -> R,
+) -> R {
+    match trace {
+        Some(rec) => rec.phase(label, f),
+        None => f(),
+    }
+}
+
 /// Analysis-phase tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -99,7 +111,9 @@ impl Analysis {
 
     /// [`Analysis::new`] with an optional span recorder: the ordering and
     /// the symbolic factorization are recorded as `order` / `symbolic`
-    /// phase spans (see [`dagfact_rt::TraceRecorder`]).
+    /// phase spans (see [`dagfact_rt::TraceRecorder`]), and the symbolic
+    /// sub-stages as `etree` / `colcounts` / `partition` / `amalgamate` /
+    /// `split` spans nested inside `symbolic`.
     pub fn new_traced(
         pattern: &SparsityPattern,
         facto: FactoKind,
@@ -113,34 +127,42 @@ impl Analysis {
         );
         let sym = pattern.symmetrize();
         // 1) Fill-reducing ordering.
-        let order_from = trace.map(dagfact_rt::TraceRecorder::now_ns);
-        let fill_perm = compute_ordering(&sym, options.ordering);
-        let permuted = sym.permute_symmetric(fill_perm.perm());
-        if let (Some(rec), Some(from)) = (trace, order_from) {
-            rec.phase_from("order", from);
-        }
-        let symbolic_from = trace.map(dagfact_rt::TraceRecorder::now_ns);
-        // 2) Elimination tree + postorder relabeling (supernode columns
-        //    must be consecutive).
-        let parent = elimination_tree(&permuted);
-        let post = postorder(&parent);
-        // `post[k]` is the pre-postorder label of new column `k`, i.e. the
-        // gather form; `from_iperm` converts it to the scatter form that
-        // `permute_symmetric` expects.
-        let post_perm = Permutation::from_iperm(post.clone());
-        let permuted = permuted.permute_symmetric(post_perm.perm());
-        let parent = relabel_parent(&parent, &post);
-        let perm = fill_perm.then(&post_perm);
-        // 3) Column counts, supernodes, amalgamation, splitting.
-        let (cc, _nnzl) = column_counts(&permuted, &parent);
-        let first = detect_supernodes(&parent, &cc);
-        let partition = build_partition(&permuted, &parent, first);
-        let partition = amalgamate(partition, &options.amalgamation);
-        let symbol = SymbolMatrix::from_partition(&partition, &options.split);
-        debug_assert_eq!(symbol.validate(), Ok(()));
-        if let (Some(rec), Some(from)) = (trace, symbolic_from) {
-            rec.phase_from("symbolic", from);
-        }
+        let (fill_perm, permuted) = phase(trace, "order", || {
+            let fill_perm = compute_ordering(&sym, options.ordering);
+            let permuted = sym.permute_symmetric(fill_perm.perm());
+            (fill_perm, permuted)
+        });
+        let (perm, symbol) = phase(trace, "symbolic", || {
+            // 2) Elimination tree + postorder relabeling (supernode
+            //    columns must be consecutive).
+            let (perm, permuted, parent) = phase(trace, "etree", || {
+                let parent = elimination_tree(&permuted);
+                let post = postorder(&parent);
+                // `post[k]` is the pre-postorder label of new column `k`,
+                // i.e. the gather form; `from_iperm` converts it to the
+                // scatter form that `permute_symmetric` expects.
+                let post_perm = Permutation::from_iperm(post.clone());
+                let permuted = permuted.permute_symmetric(post_perm.perm());
+                let parent = relabel_parent(&parent, &post);
+                (fill_perm.then(&post_perm), permuted, parent)
+            });
+            // 3) Column counts, supernodes, amalgamation, splitting.
+            let first = phase(trace, "colcounts", || {
+                let (cc, _nnzl) = column_counts(&permuted, &parent);
+                detect_supernodes(&parent, &cc)
+            });
+            let partition = phase(trace, "partition", || {
+                build_partition(&permuted, &parent, first)
+            });
+            let partition = phase(trace, "amalgamate", || {
+                amalgamate(partition, &options.amalgamation)
+            });
+            let symbol = phase(trace, "split", || {
+                SymbolMatrix::from_partition(&partition, &options.split)
+            });
+            debug_assert_eq!(symbol.validate(), Ok(()));
+            (perm, symbol)
+        });
         Analysis {
             facto,
             perm,
@@ -249,6 +271,38 @@ mod tests {
             }
         }
         assert!(seen.into_iter().all(|b| b));
+    }
+
+    #[test]
+    fn traced_analysis_nests_symbolic_substages() {
+        let a = grid_laplacian_3d(10, 10, 10);
+        let opts = SolverOptions::default();
+        let rec = dagfact_rt::TraceRecorder::new();
+        let traced = Analysis::new_traced(a.pattern(), FactoKind::Cholesky, &opts, Some(&rec));
+        let plain = Analysis::new(a.pattern(), FactoKind::Cholesky, &opts);
+        assert_eq!(traced.perm, plain.perm);
+        assert_eq!(traced.symbol.blocks, plain.symbol.blocks);
+        let trace = rec.snapshot();
+        let span = |label: &str| {
+            let found: Vec<_> = trace.spans.iter().filter(|s| s.label == label).collect();
+            assert_eq!(found.len(), 1, "one {label} span");
+            (found[0].start_ns, found[0].end_ns)
+        };
+        let (order_start, order_end) = span("order");
+        let (sym_start, sym_end) = span("symbolic");
+        assert!(order_start <= order_end && order_end <= sym_start);
+        let mut cursor = sym_start;
+        let mut total = 0;
+        for label in ["etree", "colcounts", "partition", "amalgamate", "split"] {
+            let (start, end) = span(label);
+            assert!(
+                cursor <= start && start <= end && end <= sym_end,
+                "{label} outside symbolic"
+            );
+            total += end - start;
+            cursor = end;
+        }
+        assert!(total <= sym_end - sym_start);
     }
 
     #[test]

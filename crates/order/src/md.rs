@@ -2,82 +2,142 @@
 //!
 //! A deliberately simple (no quotient graph, no supervariables) exact
 //! minimum-degree: at each step the lowest-degree vertex is eliminated and
-//! its neighborhood turned into a clique. Complexity is fine for the two
-//! places it is used — ordering nested-dissection leaves (≤ a few hundred
-//! vertices) and small standalone problems — and the simplicity keeps it
-//! obviously correct, which matters more here than AMD-grade speed.
+//! its neighborhood turned into a clique, one sorted merge per neighbor.
+//! Complexity is fine for the two places it is used — ordering
+//! nested-dissection leaves (≤ a few hundred vertices) and small
+//! standalone problems — and the simplicity keeps it obviously correct,
+//! which matters more here than AMD-grade speed.
 
 use crate::perm::Permutation;
 use dagfact_sparse::graph::Graph;
+
+/// Rest value of [`MdScratch::local_of`] entries.
+const NONE: usize = usize::MAX;
+
+/// Reusable work arrays of [`minimum_degree_subset`], sized once per
+/// ordering so that ordering many small subsets allocates nothing per
+/// subset.
+pub(crate) struct MdScratch {
+    /// Dense local index of each vertex of the current subset (`NONE` at
+    /// rest).
+    local_of: Vec<usize>,
+    /// Elimination-graph adjacency over local indices, each list sorted;
+    /// a pool whose lists keep their capacity between subsets.
+    adj: Vec<Vec<usize>>,
+    /// Current degree of each local vertex, `NONE` once eliminated.
+    deg: Vec<usize>,
+    /// The eliminated vertex's live neighbors, and a merge buffer.
+    nbrs: Vec<usize>,
+    merged: Vec<usize>,
+}
+
+impl MdScratch {
+    /// Work arrays for subsets of a graph with `n` vertices.
+    pub(crate) fn new(n: usize) -> MdScratch {
+        MdScratch {
+            local_of: vec![NONE; n],
+            adj: Vec::new(),
+            deg: Vec::new(),
+            nbrs: Vec::new(),
+            merged: Vec::new(),
+        }
+    }
+}
 
 /// Order all vertices of `graph` by minimum degree. Ties break toward the
 /// smallest vertex id, making the ordering deterministic.
 pub fn minimum_degree(graph: &Graph) -> Permutation {
     let n = graph.nvertices();
-    let order = minimum_degree_subset(graph, &(0..n).collect::<Vec<_>>());
+    let mut order = Vec::with_capacity(n);
+    let all: Vec<usize> = (0..n).collect();
+    minimum_degree_subset(graph, &all, &mut MdScratch::new(n), &mut order);
     Permutation::from_iperm(order)
 }
 
 /// Order the given vertex subset (which must be closed: edges leaving the
-/// subset are ignored) by minimum degree; returns vertex ids in elimination
-/// order.
-pub fn minimum_degree_subset(graph: &Graph, vertices: &[usize]) -> Vec<usize> {
+/// subset are ignored) by minimum degree, appending the vertex ids to
+/// `order` in elimination order. Ties break toward the earliest vertex of
+/// `vertices`.
+pub(crate) fn minimum_degree_subset(
+    graph: &Graph,
+    vertices: &[usize],
+    work: &mut MdScratch,
+    order: &mut Vec<usize>,
+) {
     let k = vertices.len();
-    if k == 0 {
-        return Vec::new();
+    let MdScratch {
+        local_of,
+        adj,
+        deg,
+        nbrs,
+        merged,
+    } = work;
+    if adj.len() < k {
+        adj.resize_with(k, Vec::new);
     }
     // Local adjacency as sorted vectors over local indices.
-    let mut local_of = std::collections::HashMap::with_capacity(k);
     for (li, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, li);
+        local_of[v] = li;
     }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (li, &v) in vertices.iter().enumerate() {
-        for &w in graph.neighbors(v) {
-            if let Some(&lw) = local_of.get(&w) {
-                adj[li].push(lw);
-            }
-        }
-        adj[li].sort_unstable();
-        adj[li].dedup();
+        let a = &mut adj[li];
+        a.clear();
+        a.extend(
+            graph
+                .neighbors(v)
+                .iter()
+                .map(|&w| local_of[w])
+                .filter(|&lw| lw != NONE),
+        );
+        a.sort_unstable();
+        a.dedup();
     }
-    let mut eliminated = vec![false; k];
-    let mut order = Vec::with_capacity(k);
+    for &v in vertices {
+        local_of[v] = NONE;
+    }
+    deg.clear();
+    deg.extend(adj[..k].iter().map(Vec::len));
     for _ in 0..k {
-        // Pick the minimum-degree live vertex.
-        let mut best = usize::MAX;
-        let mut best_deg = usize::MAX;
-        for li in 0..k {
-            if !eliminated[li] {
-                let deg = adj[li].len();
-                if deg < best_deg {
-                    best_deg = deg;
-                    best = li;
-                }
-            }
-        }
-        let v = best;
-        eliminated[v] = true;
+        // The minimum-degree live vertex, smallest local index on ties.
+        let Some((v, _)) = deg.iter().enumerate().min_by_key(|&(li, &d)| (d, li)) else {
+            break;
+        };
+        deg[v] = NONE;
         order.push(vertices[v]);
-        // Form the clique among v's live neighbors and detach v.
-        let nbrs: Vec<usize> = adj[v].iter().copied().filter(|&w| !eliminated[w]).collect();
-        for &w in &nbrs {
-            // Remove v, add all other clique members.
+        // Form the clique among v's live neighbors and detach v:
+        // adj[w] ← (adj[w] ∪ nbrs) ∖ {v, w}, one sorted merge per neighbor.
+        nbrs.clear();
+        nbrs.extend(adj[v].iter().copied().filter(|&w| deg[w] != NONE));
+        for &w in nbrs.iter() {
             let aw = &mut adj[w];
-            if let Ok(pos) = aw.binary_search(&v) {
-                aw.remove(pos);
-            }
-            for &u in &nbrs {
-                if u != w {
-                    if let Err(pos) = aw.binary_search(&u) {
-                        aw.insert(pos, u);
+            merged.clear();
+            let (mut i, mut j) = (0, 0);
+            loop {
+                let x = match (aw.get(i), nbrs.get(j)) {
+                    (Some(&a), Some(&b)) => {
+                        i += usize::from(a <= b);
+                        j += usize::from(b <= a);
+                        a.min(b)
                     }
+                    (Some(&a), None) => {
+                        i += 1;
+                        a
+                    }
+                    (None, Some(&b)) => {
+                        j += 1;
+                        b
+                    }
+                    (None, None) => break,
+                };
+                if x != v && x != w {
+                    merged.push(x);
                 }
             }
+            std::mem::swap(aw, merged);
+            deg[w] = aw.len();
         }
-        adj[v] = Vec::new();
+        adj[v].clear();
     }
-    order
 }
 
 #[cfg(test)]
@@ -121,13 +181,32 @@ mod tests {
         let a = grid_laplacian_2d(5, 5);
         let g = Graph::from_pattern(a.pattern());
         let subset = vec![0, 1, 2, 5, 6, 7];
-        let order = minimum_degree_subset(&g, &subset);
+        let mut order = Vec::new();
+        minimum_degree_subset(&g, &subset, &mut MdScratch::new(25), &mut order);
         assert_eq!(order.len(), subset.len());
         let mut sorted = order.clone();
         sorted.sort_unstable();
         let mut expect = subset.clone();
         expect.sort_unstable();
         assert_eq!(sorted, expect);
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_one() {
+        let a = grid_laplacian_2d(8, 8);
+        let g = Graph::from_pattern(a.pattern());
+        let mut shared = MdScratch::new(64);
+        let subsets: [Vec<usize>; 3] = [
+            (0..64).collect(),
+            (0..64).filter(|v| v % 3 != 0).collect(),
+            vec![9, 10, 11, 17, 18, 19],
+        ];
+        for subset in &subsets {
+            let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+            minimum_degree_subset(&g, subset, &mut shared, &mut reused);
+            minimum_degree_subset(&g, subset, &mut MdScratch::new(64), &mut fresh);
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! against nested dissection to show why the paper's DAG shape depends on
 //! the ordering.
 
+use crate::nd::Scratch;
 use crate::perm::Permutation;
 use dagfact_sparse::graph::Graph;
 
@@ -13,18 +14,19 @@ use dagfact_sparse::graph::Graph;
 /// increasing degree; the concatenated visit order is then reversed.
 pub fn reverse_cuthill_mckee(graph: &Graph) -> Permutation {
     let n = graph.nvertices();
-    let mut visited = vec![false; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mask = vec![true; n];
+    // The traversal set is the unvisited vertices: from `start`, the
+    // pseudo-peripheral search reaches exactly its component.
+    let mut scratch = Scratch::new(n);
+    scratch.in_set.fill(true);
     for start in 0..n {
-        if visited[start] {
+        if !scratch.in_set[start] {
             continue;
         }
-        // Mask for pseudo-peripheral: restrict to unvisited vertices.
-        let comp_mask: Vec<bool> = (0..n).map(|v| !visited[v] && mask[v]).collect();
-        let root = graph.pseudo_peripheral(start, &comp_mask);
+        let first = scratch.bfs(graph, start, 0);
+        let (root, _, _) = scratch.pseudo_peripheral(graph, start, first);
         let mut queue = std::collections::VecDeque::new();
-        visited[root] = true;
+        scratch.in_set[root] = false;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
             order.push(v);
@@ -32,12 +34,12 @@ pub fn reverse_cuthill_mckee(graph: &Graph) -> Permutation {
                 .neighbors(v)
                 .iter()
                 .copied()
-                .filter(|&w| !visited[w])
+                .filter(|&w| scratch.in_set[w])
                 .collect();
             nbrs.sort_unstable_by_key(|&w| (graph.degree(w), w));
             for w in nbrs {
-                if !visited[w] {
-                    visited[w] = true;
+                if scratch.in_set[w] {
+                    scratch.in_set[w] = false;
                     queue.push_back(w);
                 }
             }

@@ -2,8 +2,9 @@
 //!
 //! Nested dissection (the SCOTCH substitute in `dagfact-order`) operates on
 //! the undirected connectivity graph of `A + Aᵀ` with self-loops removed.
-//! This module provides that view plus the classic traversals: BFS level
-//! structures, pseudo-peripheral vertex search, and connected components.
+//! This module provides that view; the traversals over it (BFS level
+//! structures, pseudo-peripheral search, components) live with the
+//! orderings in `dagfact-order`.
 
 use crate::pattern::SparsityPattern;
 
@@ -19,10 +20,12 @@ impl Graph {
     /// Build the connectivity graph of a square pattern: symmetrizes and
     /// drops the diagonal.
     pub fn from_pattern(pattern: &SparsityPattern) -> Self {
+        let symmetrized;
         let sym = if pattern.is_symmetric() {
-            pattern.clone()
+            pattern
         } else {
-            pattern.symmetrize()
+            symmetrized = pattern.symmetrize();
+            &symmetrized
         };
         let n = sym.ncols();
         let mut xadj = Vec::with_capacity(n + 1);
@@ -65,116 +68,12 @@ impl Graph {
     pub fn degree(&self, v: usize) -> usize {
         self.xadj[v + 1] - self.xadj[v]
     }
-
-    /// Breadth-first level structure from `root`, restricted to the
-    /// vertices where `mask[v] == true`. Returns `levels[v] = distance`
-    /// (or `usize::MAX` if unreachable/masked) and the number of levels.
-    pub fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<usize>, usize) {
-        let n = self.nvertices();
-        let mut levels = vec![usize::MAX; n];
-        if !mask[root] {
-            return (levels, 0);
-        }
-        let mut frontier = vec![root];
-        levels[root] = 0;
-        let mut depth = 0usize;
-        let mut next = Vec::new();
-        while !frontier.is_empty() {
-            depth += 1;
-            next.clear();
-            for &v in &frontier {
-                for &w in self.neighbors(v) {
-                    if mask[w] && levels[w] == usize::MAX {
-                        levels[w] = depth;
-                        next.push(w);
-                    }
-                }
-            }
-            core::mem::swap(&mut frontier, &mut next);
-        }
-        (levels, depth)
-    }
-
-    /// Find a pseudo-peripheral vertex of the masked subgraph containing
-    /// `start` (George-Liu iteration: repeatedly jump to a farthest
-    /// minimum-degree vertex until eccentricity stops growing).
-    pub fn pseudo_peripheral(&self, start: usize, mask: &[bool]) -> usize {
-        let mut root = start;
-        let (mut levels, mut ecc) = self.bfs_levels(root, mask);
-        loop {
-            // Farthest level, pick its minimum-degree vertex.
-            let far = ecc.saturating_sub(1);
-            let mut best: Option<usize> = None;
-            for (v, &l) in levels.iter().enumerate() {
-                if l == far
-                    && mask[v]
-                    && best.is_none_or(|b| self.degree(v) < self.degree(b))
-                {
-                    best = Some(v);
-                }
-            }
-            let Some(candidate) = best else { return root };
-            if candidate == root {
-                return root;
-            }
-            let (nl, ne) = self.bfs_levels(candidate, mask);
-            if ne > ecc {
-                root = candidate;
-                levels = nl;
-                ecc = ne;
-            } else {
-                return candidate;
-            }
-        }
-    }
-
-    /// Connected components of the masked subgraph: returns
-    /// `component[v]` (`usize::MAX` for masked-out vertices) and the
-    /// component count.
-    pub fn components(&self, mask: &[bool]) -> (Vec<usize>, usize) {
-        let n = self.nvertices();
-        let mut comp = vec![usize::MAX; n];
-        let mut ncomp = 0usize;
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if !mask[s] || comp[s] != usize::MAX {
-                continue;
-            }
-            comp[s] = ncomp;
-            stack.push(s);
-            while let Some(v) = stack.pop() {
-                for &w in self.neighbors(v) {
-                    if mask[w] && comp[w] == usize::MAX {
-                        comp[w] = ncomp;
-                        stack.push(w);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        (comp, ncomp)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::grid_laplacian_2d;
-
-    fn path_graph(n: usize) -> Graph {
-        let mut xadj = vec![0usize];
-        let mut adj = Vec::new();
-        for v in 0..n {
-            if v > 0 {
-                adj.push(v - 1);
-            }
-            if v + 1 < n {
-                adj.push(v + 1);
-            }
-            xadj.push(adj.len());
-        }
-        Graph::from_adjacency(xadj, adj)
-    }
 
     #[test]
     fn pattern_to_graph_drops_diagonal() {
@@ -187,42 +86,5 @@ mod tests {
         // Corner has 2 neighbors, center has 4.
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(4), 4);
-    }
-
-    #[test]
-    fn bfs_levels_on_path() {
-        let g = path_graph(5);
-        let mask = vec![true; 5];
-        let (levels, depth) = g.bfs_levels(0, &mask);
-        assert_eq!(levels, vec![0, 1, 2, 3, 4]);
-        assert_eq!(depth, 5);
-        // Masked vertex blocks traversal.
-        let mut mask2 = vec![true; 5];
-        mask2[2] = false;
-        let (levels2, _) = g.bfs_levels(0, &mask2);
-        assert_eq!(levels2[1], 1);
-        assert_eq!(levels2[3], usize::MAX);
-    }
-
-    #[test]
-    fn pseudo_peripheral_finds_path_end() {
-        let g = path_graph(9);
-        let mask = vec![true; 9];
-        let p = g.pseudo_peripheral(4, &mask);
-        assert!(p == 0 || p == 8, "got {p}");
-    }
-
-    #[test]
-    fn components_counts_masked_islands() {
-        let g = path_graph(6);
-        let mut mask = vec![true; 6];
-        mask[2] = false; // split into {0,1} and {3,4,5}
-        let (comp, n) = g.components(&mask);
-        assert_eq!(n, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[3], comp[4]);
-        assert_eq!(comp[4], comp[5]);
-        assert_ne!(comp[0], comp[3]);
-        assert_eq!(comp[2], usize::MAX);
     }
 }

@@ -9,6 +9,8 @@
 
 use crate::etree::NO_PARENT;
 use dagfact_sparse::SparsityPattern;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Options controlling supernode amalgamation.
 #[derive(Debug, Clone)]
@@ -75,15 +77,7 @@ impl SupernodePartition {
     /// wrapping on degenerate partitions.
     pub fn nnz_factor(&self) -> usize {
         (0..self.len()).fold(0usize, |acc, s| {
-            let w = self.width(s);
-            let tri = w
-                .checked_add(1)
-                .and_then(|w1| w.checked_mul(w1))
-                .map(|x| x / 2);
-            let panel = tri
-                .and_then(|t| w.checked_mul(self.rows[s].len()).and_then(|wr| t.checked_add(wr)))
-                .unwrap_or(usize::MAX);
-            acc.saturating_add(panel)
+            acc.saturating_add(group_nnz(self.width(s), self.rows[s].len()))
         })
     }
 }
@@ -92,7 +86,7 @@ impl SupernodePartition {
 /// column counts: columns `j` and `j+1` share a supernode iff
 /// `parent[j] == j+1` and `cc[j+1] == cc[j] - 1` (then
 /// `struct(j+1) = struct(j) ∖ {j}`). Requires a topologically-labeled
-/// (postordered) tree.
+/// (postordered) tree. An empty tree has no supernodes (`[0]`).
 pub fn detect_supernodes(parent: &[usize], cc: &[usize]) -> Vec<usize> {
     let n = parent.len();
     let mut first = vec![0usize];
@@ -102,7 +96,9 @@ pub fn detect_supernodes(parent: &[usize], cc: &[usize]) -> Vec<usize> {
             first.push(j);
         }
     }
-    first.push(n);
+    if n > 0 {
+        first.push(n);
+    }
     first
 }
 
@@ -128,39 +124,37 @@ pub fn build_partition(
             sparent[s] = snode_of[parent[last]];
         }
     }
-    // Row structures bottom-up. The tree is topologically labeled, so a
-    // simple ascending sweep visits children before parents.
+    // Row structures bottom-up. The tree is topologically labeled, so an
+    // ascending sweep finalizes every child before its parent: each child
+    // appends its rows beyond the parent's columns to `rows[parent]`, and
+    // the parent's own pass dedups them with its pattern entries.
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    let mut merge_buf: Vec<usize> = Vec::new();
+    // `mark[i] == s`: row `i` is already in `rows[s]`.
+    let mut mark = vec![usize::MAX; n];
     for s in 0..nsup {
         let (fc, lc) = (first[s], first[s + 1]);
-        merge_buf.clear();
-        // Original pattern entries below the supernode.
+        let r = &mut rows[s];
+        r.retain(|&i| {
+            let fresh = mark[i] != s;
+            mark[i] = s;
+            fresh
+        });
         for j in fc..lc {
             for &i in pattern.col(j) {
-                if i >= lc {
-                    merge_buf.push(i);
+                if i >= lc && mark[i] != s {
+                    mark[i] = s;
+                    r.push(i);
                 }
             }
         }
-        // Children contributions were stashed into rows[s] as the children
-        // were finalized (ascending sweep visits children first).
-        merge_buf.extend(rows[s].iter().copied());
-        merge_buf.sort_unstable();
-        merge_buf.dedup();
-        // Everything below lc stays (contributions to ancestors).
-        rows[s] = merge_buf.iter().copied().filter(|&i| i >= lc).collect();
-        // Push this supernode's rows up to the parent (rows beyond the
-        // parent's own columns). The parent's buffer accumulates them
-        // before its own pass.
-        if sparent[s] != NO_PARENT {
-            let p = sparent[s];
-            let plc = first[p + 1];
-            // Rows of s that lie beyond the parent's columns flow into the
-            // parent's structure; rows inside the parent's columns are
-            // absorbed by the parent's diagonal block.
-            let inherited: Vec<usize> = rows[s].iter().copied().filter(|&i| i >= plc).collect();
-            rows[p].extend(inherited);
+        r.sort_unstable();
+        // Rows inside the parent's columns are absorbed by its diagonal
+        // block; the rest flow into its structure.
+        let p = sparent[s];
+        if p != NO_PARENT {
+            let (done, pending) = rows.split_at_mut(p);
+            let r = &done[s];
+            pending[0].extend_from_slice(&r[r.partition_point(|&i| i < first[p + 1])..]);
         }
     }
     SupernodePartition {
@@ -169,6 +163,34 @@ pub fn build_partition(
         rows,
         parent: sparent,
     }
+}
+
+/// Check that the row structures nest along the supernode tree: for every
+/// supernode `c` with parent `p`, the rows of `c` beyond `p`'s columns are
+/// rows of `p` — the supernodal form of `struct(L_j) ∖ {parent(j)} ⊆
+/// struct(L_parent(j))`. Returns the first `c` (in parent order) that
+/// breaks it. Children are visited grouped by parent, so each parent's
+/// rows are stamped once: O(Σ|rows| + n) plus a sort of the supernodes.
+fn nesting_violation(partition: &SupernodePartition) -> Option<usize> {
+    let parent = &partition.parent;
+    let mut children: Vec<usize> = (0..partition.len())
+        .filter(|&c| parent[c] != NO_PARENT)
+        .collect();
+    children.sort_unstable_by_key(|&c| (parent[c], c));
+    // `stamp[i] == p`: row `i` is a row of `p`.
+    let mut stamp = vec![NO_PARENT; partition.snode_of.len()];
+    let mut stamped = NO_PARENT;
+    children.into_iter().find(|&c| {
+        let p = parent[c];
+        if p != stamped {
+            for &i in &partition.rows[p] {
+                stamp[i] = p;
+            }
+            stamped = p;
+        }
+        let end = partition.first[p + 1];
+        partition.rows[c].iter().any(|&i| i >= end && stamp[i] != p)
+    })
 }
 
 /// Amalgamation following Hénon-Ramet-Roman \[25\]: repeatedly apply the
@@ -181,124 +203,77 @@ pub fn build_partition(
 /// tiny supernodes at the bottom of the tree (the ones whose tasks would
 /// otherwise be too small for any runtime — and far too small for a GPU,
 /// §V), which is exactly how PaStiX uses it.
+///
+/// The partition must come from [`build_partition`]: its row structures
+/// nest along the tree (checked on entry, panics otherwise), so the rows
+/// of a child group beyond its parent group's columns are already rows of
+/// the parent group, and a merged group's structure is exactly its
+/// parent's. A merge's fill is then priced in O(1) from the widths and
+/// row counts, and committing it just drops the child's rows.
 pub fn amalgamate(
     partition: SupernodePartition,
     options: &AmalgamationOptions,
 ) -> SupernodePartition {
+    if let Some(c) = nesting_violation(&partition) {
+        panic!(
+            "amalgamate: rows of supernode {c} beyond its parent's columns are not rows of \
+             its parent; the partition must come from build_partition"
+        );
+    }
     let nsup = partition.len();
     let n = partition.snode_of.len();
-    // Group state, indexed by the group's *root* supernode id.
-    let mut live_first: Vec<usize> = (0..nsup).map(|s| partition.first[s]).collect();
-    let live_last: Vec<usize> = (0..nsup).map(|s| partition.first[s + 1]).collect();
-    let mut rows: Vec<Vec<usize>> = partition.rows.clone();
-    let parent: Vec<usize> = partition.parent.clone();
-    let mut alive: Vec<bool> = vec![true; nsup];
-    let mut merged_into: Vec<usize> = (0..nsup).collect();
-    // Checked arithmetic throughout the cost model: a pathological
-    // partition (widths near the usize range) must price a merge as
-    // "infinitely expensive" instead of wrapping and looking cheap.
-    let group_nnz = |w: usize, r: usize| -> usize {
-        let tri = w
-            .checked_add(1)
-            .and_then(|w1| w.checked_mul(w1))
-            .map(|x| x / 2);
-        tri.and_then(|t| w.checked_mul(r).and_then(|wr| t.checked_add(wr)))
-            .unwrap_or(usize::MAX)
+    let SupernodePartition {
+        first,
+        mut snode_of,
+        rows,
+        parent,
+    } = partition;
+    let mut g = Groups {
+        cur_nnz: (0..nsup)
+            .map(|s| group_nnz(first[s + 1] - first[s], rows[s].len()))
+            .collect(),
+        live_first: first[..nsup].to_vec(),
+        live_last: first[1..].to_vec(),
+        rows,
+        parent,
+        merged_into: (0..nsup).collect(),
+        generation: vec![0; nsup],
+        alive: vec![true; nsup],
     };
-    let mut cur_nnz: Vec<usize> = (0..nsup)
-        .map(|s| group_nnz(partition.width(s), partition.rows[s].len()))
-        .collect();
-    let total_orig: usize = cur_nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
+    let total_orig: usize = g.cur_nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
     let mut budget = (options.fill_ratio * total_orig as f64) as i64;
-    // A generation stamp per group invalidates stale heap entries after a
-    // group takes part in a merge.
-    let mut generation: Vec<u32> = vec![0; nsup];
-
-    fn find(merged_into: &[usize], mut s: usize) -> usize {
-        while merged_into[s] != s {
-            s = merged_into[s];
-        }
-        s
-    }
-
-    // Candidate merge of child-group `c` into parent-group `p`: extra fill
-    // and the merged row structure.
-    let evaluate = |c: usize,
-                    p: usize,
-                    live_first: &[usize],
-                    rows: &[Vec<usize>],
-                    cur_nnz: &[usize]|
-     -> (i64, Vec<usize>) {
-        let wc = live_last[c] - live_first[c];
-        let wp = live_last[p] - live_first[p];
-        let mut merged: Vec<usize> = rows[c]
-            .iter()
-            .copied()
-            .filter(|&i| i >= live_last[p])
-            .chain(rows[p].iter().copied())
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
-        let new_nnz = group_nnz(wc.saturating_add(wp), merged.len());
-        let old_nnz = cur_nnz[c].saturating_add(cur_nnz[p]);
-        let fill = i64::try_from(new_nnz)
-            .unwrap_or(i64::MAX)
-            .saturating_sub(i64::try_from(old_nnz).unwrap_or(i64::MAX));
-        (fill, merged)
-    };
 
     // Min-heap of candidate merges keyed by extra fill; entries carry the
     // generation stamps they were computed under.
-    use std::cmp::Reverse;
-    let mut heap: std::collections::BinaryHeap<Reverse<(i64, usize, u32, u32)>> =
-        std::collections::BinaryHeap::new();
-    let push_candidate = |heap: &mut std::collections::BinaryHeap<Reverse<(i64, usize, u32, u32)>>,
-                              s: usize,
-                              live_first: &[usize],
-                              rows: &[Vec<usize>],
-                              cur_nnz: &[usize],
-                              merged_into: &[usize],
-                              generation: &[u32]| {
-        let p0 = parent[s];
-        if p0 == NO_PARENT {
-            return;
-        }
-        let p = find(merged_into, p0);
-        if p == s || live_first[p] != live_last[s] {
-            return;
-        }
-        let (fill, _) = evaluate(s, p, live_first, rows, cur_nnz);
-        heap.push(Reverse((fill, s, generation[s], generation[p])));
-    };
-    for s in 0..nsup {
-        push_candidate(&mut heap, s, &live_first, &rows, &cur_nnz, &merged_into, &generation);
-    }
+    let mut heap: BinaryHeap<Candidate> = (0..nsup).filter_map(|s| g.candidate(s)).collect();
     // Live group ending at a given column (live_last never changes for a
     // live group): used to discover children whose contiguity with a
     // grown parent group only becomes true after a merge.
-    let mut end_map: std::collections::HashMap<usize, usize> =
-        (0..nsup).map(|s| (live_last[s], s)).collect();
+    let mut group_ending_at = vec![NO_PARENT; n + 1];
+    for s in 0..nsup {
+        group_ending_at[g.live_last[s]] = s;
+    }
 
     while let Some(Reverse((fill, s, gen_s, _gen_p))) = heap.pop() {
-        if !alive[s] || generation[s] != gen_s {
+        if !g.alive[s] || g.generation[s] != gen_s {
             continue;
         }
-        let p = find(&merged_into, parent[s]);
-        if p == s || !alive[p] || live_first[p] != live_last[s] {
+        let p = g.find(g.parent[s]);
+        if p == s || !g.alive[p] || g.live_first[p] != g.live_last[s] {
             continue;
         }
-        // Re-evaluate: the parent group may have changed since this entry
+        // Re-price: the parent group may have changed since this entry
         // was pushed (its generation moved on).
-        let (fill_now, merged_rows) = evaluate(s, p, &live_first, &rows, &cur_nnz);
+        let fill_now = g.fill(s, p);
         if fill_now > fill {
             // Stale optimistic entry: reinsert with the fresh cost.
-            heap.push(Reverse((fill_now, s, generation[s], generation[p])));
+            heap.push(Reverse((fill_now, s, g.generation[s], g.generation[p])));
             continue;
         }
         // Tiny groups may always merge (their absolute fill is small and
         // the resulting task would otherwise be un-schedulable); larger
         // merges draw from the global budget.
-        let w = live_last[p] - live_first[s];
+        let w = g.live_last[p] - g.live_first[s];
         let tiny = w <= options.min_width;
         if !tiny && fill_now > budget {
             continue; // too expensive now; cheaper candidates also popped
@@ -306,36 +281,34 @@ pub fn amalgamate(
         if !tiny {
             budget -= fill_now.max(0);
         }
-        // Commit the merge: p absorbs s.
-        live_first[p] = live_first[s];
-        cur_nnz[p] = group_nnz(w, merged_rows.len());
-        rows[p] = merged_rows;
-        alive[s] = false;
-        merged_into[s] = p;
-        generation[p] += 1;
-        end_map.remove(&live_last[s]);
+        // Commit the merge: p absorbs s and keeps its own rows.
+        g.live_first[p] = g.live_first[s];
+        g.cur_nnz[p] = group_nnz(w, g.rows[p].len());
+        g.rows[s] = Vec::new();
+        g.alive[s] = false;
+        g.merged_into[s] = p;
+        g.generation[p] += 1;
+        group_ending_at[g.live_last[s]] = NO_PARENT;
         // New candidates: the merged group into *its* parent, and the
         // group that now abuts p from below (if its tree parent resolves
-        // to p, push_candidate accepts it).
-        push_candidate(&mut heap, p, &live_first, &rows, &cur_nnz, &merged_into, &generation);
-        if let Some(&g) = end_map.get(&live_first[p]) {
-            if alive[g] {
-                push_candidate(&mut heap, g, &live_first, &rows, &cur_nnz, &merged_into, &generation);
-            }
+        // to p, it is a candidate).
+        heap.extend(g.candidate(p));
+        let below = group_ending_at[g.live_first[p]];
+        if below != NO_PARENT && g.alive[below] {
+            heap.extend(g.candidate(below));
         }
     }
 
     // Rebuild a compact partition.
-    let mut order: Vec<usize> = (0..nsup).filter(|&s| alive[s]).collect();
-    order.sort_by_key(|&s| live_first[s]);
+    let mut order: Vec<usize> = (0..nsup).filter(|&s| g.alive[s]).collect();
+    order.sort_by_key(|&s| g.live_first[s]);
     let mut first = Vec::with_capacity(order.len() + 1);
     let mut new_rows = Vec::with_capacity(order.len());
     for &s in &order {
-        first.push(live_first[s]);
-        new_rows.push(std::mem::take(&mut rows[s]));
+        first.push(g.live_first[s]);
+        new_rows.push(std::mem::take(&mut g.rows[s]));
     }
     first.push(n);
-    let mut snode_of = vec![0usize; n];
     for (new_s, w) in first.windows(2).enumerate() {
         snode_of[w[0]..w[1]].fill(new_s);
     }
@@ -354,6 +327,77 @@ pub fn amalgamate(
         snode_of,
         rows: new_rows,
         parent: sparent,
+    }
+}
+
+/// A candidate merge `(extra fill, child group, child generation, parent
+/// generation)`, ordered cheapest first.
+type Candidate = Reverse<(i64, usize, u32, u32)>;
+
+/// nnz of a dense panel `w` columns wide with `r` rows below it. Checked
+/// arithmetic: a pathological partition (widths near the usize range)
+/// must price a merge as "infinitely expensive" instead of wrapping and
+/// looking cheap.
+fn group_nnz(w: usize, r: usize) -> usize {
+    let tri = w
+        .checked_add(1)
+        .and_then(|w1| w.checked_mul(w1))
+        .map(|x| x / 2);
+    tri.and_then(|t| w.checked_mul(r).and_then(|wr| t.checked_add(wr)))
+        .unwrap_or(usize::MAX)
+}
+
+/// Amalgamation state: groups of merged supernodes, indexed by the
+/// group's *root* (topmost) supernode. A live group's row structure is its
+/// root's `rows` entry (nesting).
+struct Groups {
+    live_first: Vec<usize>,
+    live_last: Vec<usize>,
+    rows: Vec<Vec<usize>>,
+    cur_nnz: Vec<usize>,
+    /// Supernode-tree parent of each supernode.
+    parent: Vec<usize>,
+    /// Union-find links from a merged group to the group that absorbed it.
+    merged_into: Vec<usize>,
+    /// Bumped when a group absorbs another, invalidating its heap entries.
+    generation: Vec<u32>,
+    alive: Vec<bool>,
+}
+
+impl Groups {
+    /// Union-find root with path halving.
+    fn find(&mut self, mut s: usize) -> usize {
+        while self.merged_into[s] != s {
+            self.merged_into[s] = self.merged_into[self.merged_into[s]];
+            s = self.merged_into[s];
+        }
+        s
+    }
+
+    /// Extra fill of merging child group `c` into parent group `p`: the
+    /// merged structure is `rows[p]` (nesting), so only sizes change.
+    fn fill(&self, c: usize, p: usize) -> i64 {
+        let wc = self.live_last[c] - self.live_first[c];
+        let wp = self.live_last[p] - self.live_first[p];
+        let new_nnz = group_nnz(wc.saturating_add(wp), self.rows[p].len());
+        let old_nnz = self.cur_nnz[c].saturating_add(self.cur_nnz[p]);
+        i64::try_from(new_nnz)
+            .unwrap_or(i64::MAX)
+            .saturating_sub(i64::try_from(old_nnz).unwrap_or(i64::MAX))
+    }
+
+    /// The merge of group `s` into its parent group, if their columns are
+    /// contiguous.
+    fn candidate(&mut self, s: usize) -> Option<Candidate> {
+        if self.parent[s] == NO_PARENT {
+            return None;
+        }
+        let p = self.find(self.parent[s]);
+        if p == s || self.live_first[p] != self.live_last[s] {
+            return None;
+        }
+        let fill = self.fill(s, p);
+        Some(Reverse((fill, s, self.generation[s], self.generation[p])))
     }
 }
 
@@ -498,6 +542,30 @@ mod tests {
         );
         // ratio 0 + min_width 1 accepts only zero-fill merges.
         assert_eq!(merged.nnz_factor(), nnz0);
+    }
+
+    #[test]
+    fn empty_tree_has_no_supernodes() {
+        let first = detect_supernodes(&[], &[]);
+        assert_eq!(first, vec![0]);
+        let part = build_partition(&SparsityPattern::empty(0), &[], first);
+        assert!(part.is_empty());
+        assert!(amalgamate(part, &AmalgamationOptions::default()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "must come from build_partition")]
+    fn amalgamate_rejects_unnested_rows() {
+        // Three single-column supernodes in a chain 0 → 1 → 2 → 3: row 3 of
+        // supernode 0 lies beyond its parent's column but is missing from
+        // the parent's rows.
+        let part = SupernodePartition {
+            first: vec![0, 1, 2, 3, 4],
+            snode_of: vec![0, 1, 2, 3],
+            rows: vec![vec![1, 3], vec![2], vec![3], vec![]],
+            parent: vec![1, 2, 3, NO_PARENT],
+        };
+        amalgamate(part, &AmalgamationOptions::default());
     }
 
     use dagfact_sparse::SparsityPattern;

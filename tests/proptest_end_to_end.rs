@@ -8,7 +8,10 @@ use dagfact_suite::order::{compute_ordering, OrderingKind};
 use dagfact_suite::sparse::gen::random_spd;
 use dagfact_suite::sparse::SparsityPattern;
 use dagfact_suite::symbolic::counts::column_counts;
-use dagfact_suite::symbolic::etree::{elimination_tree, is_topological, postorder, relabel_parent};
+use dagfact_suite::symbolic::etree::{
+    elimination_tree, is_topological, postorder, relabel_parent, NO_PARENT,
+};
+use dagfact_suite::symbolic::supernode::{build_partition, detect_supernodes};
 use dagfact_suite::symbolic::FactoKind;
 
 /// Deterministic parameter source (SplitMix64).
@@ -140,5 +143,46 @@ fn orderings_are_bijections() {
         let w = perm.apply_vec(&v);
         let back = perm.apply_inverse_vec(&w);
         assert_eq!(back, v, "case {case}");
+    }
+}
+
+#[test]
+fn partition_rows_nest_along_the_supernode_tree() {
+    // The corpus of the pattern tests above: rows of a supernode beyond its
+    // parent's columns must be rows of the parent (what amalgamation's
+    // O(1) merge pricing relies on).
+    for (base, max_n) in [(1000, 120), (2000, 140), (3000, 100)] {
+        for case in 0..CASES {
+            let mut params = Params::new(base + case);
+            let sym = sym_pattern(&mut params, max_n).symmetrize();
+            let perm = compute_ordering(&sym, OrderingKind::NestedDissection);
+            let permuted = sym.permute_symmetric(perm.perm());
+            let parent = elimination_tree(&permuted);
+            let post = postorder(&parent);
+            let mut scatter = vec![0usize; post.len()];
+            for (new, &old) in post.iter().enumerate() {
+                scatter[old] = new;
+            }
+            let permuted = permuted.permute_symmetric(&scatter);
+            let parent = relabel_parent(&parent, &post);
+            let (cc, _) = column_counts(&permuted, &parent);
+            let part = build_partition(&permuted, &parent, detect_supernodes(&parent, &cc));
+            for s in 0..part.len() {
+                assert!(
+                    part.rows[s].windows(2).all(|w| w[0] < w[1]),
+                    "case {base}+{case}"
+                );
+                let p = part.parent[s];
+                if p == NO_PARENT {
+                    continue;
+                }
+                for &i in part.rows[s].iter().filter(|&&i| i >= part.first[p + 1]) {
+                    assert!(
+                        part.rows[p].binary_search(&i).is_ok(),
+                        "case {base}+{case}: row {i} of supernode {s} missing from parent {p}"
+                    );
+                }
+            }
+        }
     }
 }
