@@ -28,14 +28,17 @@ bench:
 check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-perfbench
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
-# SIMD-vs-portable fuzz suite, a forced-scalar build+test leg
-# (--no-default-features proves the portable tier stands alone), and the
-# release-mode kernel study with its >=1.5x SIMD speedup gate (skipped
-# loudly on hosts without AVX2).
+# SIMD-vs-portable fuzz suite with its bitwise tile and blocked-TRSM
+# oracles, a forced-scalar build+test leg (--no-default-features proves
+# the portable tier stands alone), the golden factor fingerprints
+# including the release-size members (bit-identical factors on AVX2),
+# and the release-mode kernel study with its two >=1.5x SIMD speedup
+# gates, update and ragged shapes (skipped loudly on hosts without AVX2).
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --no-default-features
+	RUST_BACKTRACE=1 cargo test -q --release -p dagfact-bench --test factor_golden -- --include-ignored
 	cargo run -q --release -p dagfact-bench --bin kernels_bench
 
 # Full robustness gate: the whole test suite plus the fault-injection and

@@ -1,20 +1,26 @@
 //! AVX2 + FMA `f64` microkernels.
 //!
-//! One register-tiled GEMM kernel serves every dispatched entry point:
-//! an 8×4 tile of `C` (two `ymm` rows × four columns = 8 accumulator
-//! registers) is held in registers while the `k` loop streams columns of
-//! `A` (contiguous 8-element loads — `A` is column-major and
-//! untransposed) and broadcasts elements of `op(B)`. `op(B)` is read
-//! through [`BLayout`], so the same kernel covers the `NoTrans×Trans`
-//! outer product of the supernodal update *and* the `NoTrans×NoTrans`
-//! packed-panel product — only the broadcast address differs.
+//! One register tile serves every shape of the dispatched GEMM:
+//! [`tile::<NC, MASKED>`](tile) holds up to 8 rows × `NC ≤ 4` columns of
+//! `C` (two `ymm` halves per column, so at most 8 accumulator registers)
+//! while the `k` loop streams columns of `A` (contiguous 8-element loads
+//! — `A` is column-major and untransposed) and broadcasts elements of
+//! `op(B)`. Column tails (`n % 4`) instantiate a narrower tile; row tails
+//! (`m % 8`) use the `MASKED` instance, which loads and stores through
+//! `_mm256_maskload_pd` / `_mm256_maskstore_pd`, so no shape falls back
+//! to a scalar loop. `op(B)` is read through [`BLayout`], so the same
+//! tile covers the `NoTrans×Trans` outer product of the supernodal update
+//! *and* the `NoTrans×NoTrans` packed-panel product — only the broadcast
+//! address differs.
 //!
-//! Accumulation **association matches the portable kernel**: the C tile
+//! Accumulation **association is fixed per output element**: the C value
 //! is loaded first (β applied on the first `kc` chunk), then one FMA per
-//! `k` step — the same per-`l` axpy order as
-//! [`crate::gemm`]'s `gemm_a_notrans`, with the multiply-add pair
-//! contracted into a single rounding. The differential fuzz suite pins
-//! the resulting drift.
+//! `k` step in ascending order with `s = α·op(B)[l, j]` — the same
+//! per-`l` axpy order as [`crate::gemm`]'s `gemm_a_notrans`, with the
+//! multiply-add pair contracted into a single rounding. Lanes are
+//! independent, so the result of an element does not depend on the tile
+//! (full or masked, 1–4 columns) that computed it; the differential fuzz
+//! suite checks it bit for bit against a scalar `mul_add` reference.
 //!
 //! Everything here is `unsafe fn` + raw pointers: callers (the dispatch
 //! shims in [`super`]) re-assert the LAPACK shape contracts before any
@@ -78,6 +84,16 @@ pub(crate) unsafe fn gemm_f64(
     c: *mut f64,
     ldc: usize,
 ) {
+    let op = Operands {
+        alpha,
+        a,
+        lda,
+        b,
+        bl,
+        beta,
+        c,
+        ldc,
+    };
     let blk = blocking();
     let mut jc = 0;
     while jc < n {
@@ -85,61 +101,26 @@ pub(crate) unsafe fn gemm_f64(
         let mut pc = 0;
         while pc < k {
             let kcb = blk.kc.min(k - pc);
-            let first = pc == 0;
+            let chunk = Chunk {
+                l0: pc,
+                kk: kcb,
+                first: pc == 0,
+            };
             let mut ic = 0;
             while ic < m {
                 let mcb = blk.mc.min(m - ic);
-                let m_main = mcb - mcb % MR;
                 let mut jr = 0;
                 while jr < ncb {
-                    let nrb = NR.min(ncb - jr);
                     let j0 = jc + jr;
-                    if nrb == NR {
-                        let mut ir = 0;
-                        while ir < m_main {
-                            // SAFETY: (ic+ir .. +MR) ≤ m rows and
-                            // (j0 .. +NR) ≤ n cols stay inside the
-                            // caller's lda/ldc shape contracts.
-                            unsafe {
-                                tile_8x4(
-                                    kcb,
-                                    a.add(pc * lda + ic + ir),
-                                    lda,
-                                    b,
-                                    bl,
-                                    pc,
-                                    j0,
-                                    alpha,
-                                    first,
-                                    beta,
-                                    c.add(j0 * ldc + ic + ir),
-                                    ldc,
-                                );
-                            }
-                            ir += MR;
-                        }
-                    }
-                    let (mt, it0) = if nrb == NR { (mcb - m_main, ic + m_main) } else { (mcb, ic) };
-                    if mt > 0 {
-                        // SAFETY: the ≤7-row / ≤3-col remainder stays
-                        // inside the same shape contracts.
-                        unsafe {
-                            tile_edge(
-                                mt,
-                                nrb,
-                                kcb,
-                                a.add(pc * lda + it0),
-                                lda,
-                                b,
-                                bl,
-                                pc,
-                                j0,
-                                alpha,
-                                first,
-                                beta,
-                                c.add(j0 * ldc + it0),
-                                ldc,
-                            );
+                    // SAFETY: rows ic..ic+mcb ≤ m, columns j0..j0+nt ≤ n
+                    // and the chunk's k range stay inside the caller's
+                    // shape contracts.
+                    unsafe {
+                        match NR.min(ncb - jr) {
+                            4 => column_block::<4>(&op, chunk, ic, mcb, j0),
+                            3 => column_block::<3>(&op, chunk, ic, mcb, j0),
+                            2 => column_block::<2>(&op, chunk, ic, mcb, j0),
+                            _ => column_block::<1>(&op, chunk, ic, mcb, j0),
                         }
                     }
                     jr += NR;
@@ -152,119 +133,124 @@ pub(crate) unsafe fn gemm_f64(
     }
 }
 
-/// The 8×4 register tile: `C_tile` lives in 8 `ymm` accumulators across
-/// the whole `kk` loop; β is applied when `first` (chunk `pc == 0`).
-///
-/// # Safety
-/// Caller guarantees AVX2+FMA, 8 rows × 4 columns of C at `(c, ldc)`,
-/// `kk` columns of A at `(a, lda)`, and op(B) coverage of rows
-/// `l0..l0+kk` × cols `j0..j0+4`.
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn tile_8x4(
-    kk: usize,
+/// The operands of one [`gemm_f64`] call, shared by all of its tiles.
+#[derive(Copy, Clone)]
+struct Operands {
+    alpha: f64,
     a: *const f64,
     lda: usize,
     b: *const f64,
     bl: BLayout,
-    l0: usize,
-    j0: usize,
-    alpha: f64,
-    first: bool,
     beta: f64,
     c: *mut f64,
     ldc: usize,
+}
+
+/// The `k` range one tile pass accumulates: `l0..l0+kk`; `first` marks
+/// the chunk that applies β.
+#[derive(Copy, Clone)]
+struct Chunk {
+    l0: usize,
+    kk: usize,
+    first: bool,
+}
+
+/// Rows `i0..i0+mt` × columns `j0..j0+NC` of `C` in full 8-row tiles and
+/// one masked tile for the `mt % 8` remainder.
+///
+/// # Safety
+/// Caller guarantees AVX2+FMA and that the rows, columns and the chunk's
+/// `k` range lie inside the shape contracts of `op`.
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn column_block<const NC: usize>(op: &Operands, ch: Chunk, i0: usize, mt: usize, j0: usize) {
+    let full = i0 + mt - mt % MR;
+    let mut i = i0;
+    // SAFETY: (both calls) every tile's rows lie in i0..i0+mt.
+    while i < full {
+        unsafe { tile::<NC, false>(op, ch, i, MR, j0) };
+        i += MR;
+    }
+    if i < i0 + mt {
+        unsafe { tile::<NC, true>(op, ch, i, i0 + mt - i, j0) };
+    }
+}
+
+/// The register tile: rows `i0..i0+mt` (`mt ≤ 8`; `mt == 8` unless
+/// `MASKED`) × columns `j0..j0+NC` of `C` live in `2·NC` `ymm`
+/// accumulators across the chunk's whole `k` loop. The masked instance
+/// reads and writes only the first `mt` lanes.
+///
+/// # Safety
+/// Caller guarantees AVX2+FMA, `mt` rows × `NC` columns of C at
+/// `(i0, j0)`, the same rows of A over the chunk's `k` range, and op(B)
+/// coverage of that range × columns `j0..j0+NC`.
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn tile<const NC: usize, const MASKED: bool>(
+    op: &Operands,
+    ch: Chunk,
+    i0: usize,
+    mt: usize,
+    j0: usize,
 ) {
-    // SAFETY: (whole body) caller guarantees 8 rows and 4 columns of C
-    // at (c, ldc), kk columns of A at (a, lda), and op(B) coverage of
-    // rows l0..l0+kk × cols j0..j0+4.
+    // SAFETY: (whole body) the caller contract above; masked lanes are
+    // neither read nor written.
     unsafe {
-        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-        for (jj, [lo, hi]) in acc.iter_mut().enumerate() {
-            let cj = c.add(jj * ldc);
-            if first {
-                if beta == 0.0 {
-                    // leave zeros: β=0 must not read (possibly garbage) C
-                } else if beta == 1.0 {
-                    *lo = _mm256_loadu_pd(cj);
-                    *hi = _mm256_loadu_pd(cj.add(4));
-                } else {
-                    let vb = _mm256_set1_pd(beta);
-                    *lo = _mm256_mul_pd(_mm256_loadu_pd(cj), vb);
-                    *hi = _mm256_mul_pd(_mm256_loadu_pd(cj.add(4)), vb);
-                }
+        let (mask_lo, mask_hi) = if MASKED {
+            let rows = _mm256_set1_epi64x(mt as i64);
+            (
+                _mm256_cmpgt_epi64(rows, _mm256_setr_epi64x(0, 1, 2, 3)),
+                _mm256_cmpgt_epi64(rows, _mm256_setr_epi64x(4, 5, 6, 7)),
+            )
+        } else {
+            (_mm256_set1_epi64x(-1), _mm256_set1_epi64x(-1))
+        };
+        let load = |p: *const f64, mask: __m256i| {
+            if MASKED {
+                _mm256_maskload_pd(p, mask)
             } else {
-                *lo = _mm256_loadu_pd(cj);
-                *hi = _mm256_loadu_pd(cj.add(4));
+                _mm256_loadu_pd(p)
+            }
+        };
+        // The `+ 4` half pointers use `wrapping_add`: in a masked tile of
+        // ≤ 4 rows they may point past the buffer, but no lane reads there.
+        let c = op.c.add(j0 * op.ldc + i0);
+        let mut acc = [[_mm256_setzero_pd(); 2]; NC];
+        for (jj, [lo, hi]) in acc.iter_mut().enumerate() {
+            let cj = c.add(jj * op.ldc);
+            if ch.first && op.beta == 0.0 {
+                // leave zeros: β=0 must not read (possibly garbage) C
+                continue;
+            }
+            *lo = load(cj, mask_lo);
+            *hi = load(cj.wrapping_add(4), mask_hi);
+            if ch.first && op.beta != 1.0 {
+                let vb = _mm256_set1_pd(op.beta);
+                *lo = _mm256_mul_pd(*lo, vb);
+                *hi = _mm256_mul_pd(*hi, vb);
             }
         }
-        for ll in 0..kk {
-            let al = a.add(ll * lda);
-            let a0 = _mm256_loadu_pd(al);
-            let a1 = _mm256_loadu_pd(al.add(4));
+        let a = op.a.add(ch.l0 * op.lda + i0);
+        for ll in 0..ch.kk {
+            let al = a.add(ll * op.lda);
+            let a0 = load(al, mask_lo);
+            let a1 = load(al.wrapping_add(4), mask_hi);
             for (jj, [lo, hi]) in acc.iter_mut().enumerate() {
-                let s = alpha * bl.at(b, l0 + ll, j0 + jj);
+                let s = op.alpha * op.bl.at(op.b, ch.l0 + ll, j0 + jj);
                 let vs = _mm256_set1_pd(s);
                 *lo = _mm256_fmadd_pd(a0, vs, *lo);
                 *hi = _mm256_fmadd_pd(a1, vs, *hi);
             }
         }
         for (jj, &[lo, hi]) in acc.iter().enumerate() {
-            let cj = c.add(jj * ldc);
-            _mm256_storeu_pd(cj, lo);
-            _mm256_storeu_pd(cj.add(4), hi);
-        }
-    }
-}
-
-/// Remainder tile (`mt ≤ 7` rows or `nt ≤ 3` columns): scalar loops with
-/// the same association as [`tile_8x4`] (`mul_add` contracts to a
-/// hardware FMA under the enabled feature).
-///
-/// # Safety
-/// Caller guarantees AVX2+FMA, `mt` rows × `nt` cols of C at `(c, ldc)`,
-/// `kk` columns of A at `(a, lda)`, and the matching op(B) region.
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn tile_edge(
-    mt: usize,
-    nt: usize,
-    kk: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    bl: BLayout,
-    l0: usize,
-    j0: usize,
-    alpha: f64,
-    first: bool,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    // SAFETY: (whole body) caller guarantees mt rows × nt cols of C,
-    // kk columns of A, and the matching op(B) region.
-    unsafe {
-        for jj in 0..nt {
-            let cj = c.add(jj * ldc);
-            for ii in 0..mt {
-                let cij = cj.add(ii);
-                let mut x = if first {
-                    if beta == 0.0 {
-                        0.0
-                    } else {
-                        beta * *cij
-                    }
-                } else {
-                    *cij
-                };
-                for ll in 0..kk {
-                    let s = alpha * bl.at(b, l0 + ll, j0 + jj);
-                    x = f64::mul_add(*a.add(ll * lda + ii), s, x);
-                }
-                *cij = x;
+            let cj = c.add(jj * op.ldc);
+            if MASKED {
+                _mm256_maskstore_pd(cj, mask_lo, lo);
+                _mm256_maskstore_pd(cj.wrapping_add(4), mask_hi, hi);
+            } else {
+                _mm256_storeu_pd(cj, lo);
+                _mm256_storeu_pd(cj.add(4), hi);
             }
         }
     }

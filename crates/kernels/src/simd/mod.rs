@@ -10,9 +10,9 @@
 //!   (`is_x86_feature_detected!`) runs once; every later call is a single
 //!   relaxed atomic load, so dispatch is legal inside the hot-path purity
 //!   roots (no allocation, no locks, no panics).
-//! * [`avx2`] — the 8×4 register-tiled f64 GEMM microkernel with
-//!   mc/kc/nc cache blocking, plus the fused GEMM-scatter epilogue used
-//!   by the direct-scatter pressure rung.
+//! * [`avx2`] — the f64 GEMM microkernel: one masked register tile of
+//!   up to 8×4 for every shape, with mc/kc/nc cache blocking, plus the
+//!   fused GEMM-scatter epilogue used by the direct-scatter pressure rung.
 //! * [`Blocking`] — the autotunable block sizes. Defaults suit a
 //!   ~32 KiB L1 / ~1 MiB L2 core; `kernels_bench --tune` sweeps
 //!   candidates and persists the winner, which replays through the
@@ -421,6 +421,15 @@ pub(crate) fn try_update_scatter<T: Scalar>(
         );
         false
     }
+}
+
+/// Whether an `m`-row [`crate::gemm::gemm`] with `A` untransposed rounds
+/// each element exactly like the [`try_axpy`]-or-portable axpy loop: both
+/// fuse on the AVX2 tier once the GEMM dispatch takes the call
+/// (`m ≥ MR`), and neither fuses on the portable tier.
+#[inline]
+pub(crate) fn gemm_rounds_like_axpy(m: usize) -> bool {
+    m >= MR || isa() != Isa::Avx2
 }
 
 /// SIMD `y += s·x`; `true` when handled.

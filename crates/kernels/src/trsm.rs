@@ -7,7 +7,7 @@
 //! (transposed-stored) U side of LU. All eight side/uplo/trans combinations
 //! are provided so the solve phase can reuse the kernel.
 
-use crate::gemm::axpy;
+use crate::gemm::{axpy, gemm};
 use crate::scalar::Scalar;
 use crate::simd;
 
@@ -162,6 +162,9 @@ fn col_axpy<T: Scalar>(b: &mut [T], ldb: usize, m: usize, s: T, src: usize, dst:
     }
 }
 
+/// Column-block width of the left-looking ascending [`trsm_right`] sweep.
+const NB: usize = 32;
+
 #[allow(clippy::too_many_arguments)]
 fn trsm_right<T: Scalar>(
     uplo: Uplo,
@@ -181,33 +184,85 @@ fn trsm_right<T: Scalar>(
     // op(T) effectively *lower* → l ≥ j → solve j descending;
     // op(T) effectively *upper* → l ≤ j → solve j ascending.
     let lower = effective_lower(uplo, trans);
-    // Columns solve in descending order when op(T) is lower, ascending
-    // when upper; the already-solved columns coupling into j are then
-    // (j+1)..n resp. 0..j. Plain index arithmetic — no order vector or
-    // boxed iterator on this per-panel-task path.
-    for jj in 0..n {
-        // BOUNDS: jj < n in both branches, so j < n; the solved range
-        // stays within 0..n; the ldb column slice is covered by the
-        // shape contract asserted above.
-        let j = if lower { n - 1 - jj } else { jj };
-        let (solved_lo, solved_hi) = if lower { (j + 1, n) } else { (0, j) };
-        // X[:, j] = (B[:, j] - Σ_{l already solved} X[:, l]·op(T)[l, j]) / op(T)[j, j]
-        for l in solved_lo..solved_hi {
-            let coef = tval(t, ldt, trans, l, j);
-            if coef == T::zero() {
-                continue;
-            }
-            // col_j -= coef * col_l; the two columns are disjoint (l != j).
-            col_axpy(b, ldb, m, -coef, l, j);
+    if lower {
+        // Descending, column by column.
+        for j in (0..n).rev() {
+            solve_column(trans, diag, m, t, ldt, b, ldb, j, j + 1..n);
         }
-        if diag == Diag::NonUnit {
-            let d = tval(t, ldt, trans, j, j).inv();
-            // BOUNDS: j < n against the ldb/b-length contract above.
-            let col = &mut b[j * ldb..j * ldb + m];
-            if !simd::try_scale(d, col) {
-                for v in col {
-                    *v *= d;
-                }
+        return;
+    }
+    // Ascending, left-looking in blocks of NB columns: one GEMM subtracts
+    // every solved column from the whole block, then the block's own
+    // columns solve one by one. Each element of column j still receives
+    // one multiply-add per solved l in ascending order (the GEMM's l
+    // range precedes the block's), rounded the same way on both sides.
+    // Where the two would round differently, the solve is one block: the
+    // plain column sweep.
+    let nb = if simd::gemm_rounds_like_axpy(m) { NB } else { n };
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = (j0 + nb).min(n);
+        if j0 > 0 {
+            // B[:, j0..j1] -= X[:, 0..j0] · op(T)[0..j0, j0..j1].
+            // op(T)[l, j] is t[j*ldt + l] untransposed, t[l*ldt + j]
+            // (conjugated) otherwise.
+            let toff = if trans == Trans::NoTrans { j0 * ldt } else { j0 };
+            let (x, blk) = b.split_at_mut(j0 * ldb);
+            // BOUNDS: toff ≤ j0·ldt < t.len() under the ldt contract
+            // asserted above; gemm re-asserts every operand's extent.
+            gemm(
+                Trans::NoTrans,
+                trans,
+                m,
+                j1 - j0,
+                j0,
+                -T::one(),
+                x,
+                ldb,
+                &t[toff..],
+                ldt,
+                T::one(),
+                blk,
+                ldb,
+            );
+        }
+        for j in j0..j1 {
+            solve_column(trans, diag, m, t, ldt, b, ldb, j, j0..j);
+        }
+        j0 = j1;
+    }
+}
+
+/// `X[:, j] = (B[:, j] − Σ_{l ∈ solved} X[:, l]·op(T)[l, j]) / op(T)[j, j]`,
+/// one axpy per `l` in ascending order.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn solve_column<T: Scalar>(
+    trans: Trans,
+    diag: Diag,
+    m: usize,
+    t: &[T],
+    ldt: usize,
+    b: &mut [T],
+    ldb: usize,
+    j: usize,
+    solved: core::ops::Range<usize>,
+) {
+    for l in solved {
+        let coef = tval(t, ldt, trans, l, j);
+        if coef == T::zero() {
+            continue;
+        }
+        // col_j -= coef * col_l; the two columns are disjoint (l != j).
+        col_axpy(b, ldb, m, -coef, l, j);
+    }
+    if diag == Diag::NonUnit {
+        let d = tval(t, ldt, trans, j, j).inv();
+        // BOUNDS: j < n against trsm_right's ldb/b-length contract.
+        let col = &mut b[j * ldb..j * ldb + m];
+        if !simd::try_scale(d, col) {
+            for v in col {
+                *v *= d;
             }
         }
     }
@@ -216,7 +271,6 @@ fn trsm_right<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
     use crate::scalar::C64;
 
     fn rand_vec(n: usize, seed: u64) -> Vec<f64> {

@@ -254,6 +254,218 @@ fn packed_variants_match_unpacked_over_sweep() {
 }
 
 // ---------------------------------------------------------------------
+// Bitwise oracles: the register tile and the blocked panel TRSM
+// ---------------------------------------------------------------------
+
+/// `C ← α·A·op(B) + β·C` in the SIMD tier's association: `β·C` (β = 0
+/// writes zero, never reading C), then one fused multiply-add per `l` in
+/// ascending order with `s = α·op(B)[l, j]`.
+#[allow(clippy::too_many_arguments)]
+fn fma_gemm_reference(
+    b_trans: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for j in 0..n {
+        for i in 0..m {
+            let cij = &mut c[j * ldc + i];
+            let mut x = if beta == 0.0 { 0.0 } else { beta * *cij };
+            for l in 0..k {
+                let bl = if b_trans { b[l * ldb + j] } else { b[j * ldb + l] };
+                x = f64::mul_add(a[l * lda + i], alpha * bl, x);
+            }
+            *cij = x;
+        }
+    }
+}
+
+/// Every ragged edge of the register tile: all `m` in 8..=41 (row tails
+/// 0..7 after full tiles) × all `n` in 1..=9 (column tails 1..3) × `k`
+/// across the `kc = 256` chunk boundary, both `op(B)` layouts, padded
+/// strides and every (α, β) pair. The dispatched GEMM must equal the
+/// FMA reference bit for bit on the AVX2 tier; below `MR` rows (the
+/// dispatch declines) it must equal `gemm_portable` bit for bit.
+#[test]
+fn gemm_tile_matches_fma_reference_bitwise() {
+    const ALPHAS: [f64; 3] = [1.0, -1.0, 0.5];
+    const BETAS: [f64; 4] = [0.0, 1.0, 0.5, -1.0];
+    let avx2 = dagfact_kernels::isa() == dagfact_kernels::Isa::Avx2;
+    if !avx2 {
+        eprintln!(
+            "gemm_tile_matches_fma_reference_bitwise: SKIPPING the FMA cases — \
+             the active tier is {}; only the m < 8 portable cases run",
+            dagfact_kernels::isa().name()
+        );
+    }
+    let mut rng = SplitMix64(0x7111_E0F5_EED5_0001);
+    let mut case = 0usize;
+    for m in 1..=41usize {
+        if m >= dagfact_kernels::simd::MR && !avx2 {
+            continue;
+        }
+        for n in 1..=9usize {
+            for k in [1usize, 7, 33, 300] {
+                for b_trans in [false, true] {
+                    let alpha = ALPHAS[case % 3];
+                    let beta = BETAS[(case / 3) % 4];
+                    case += 1;
+                    let (lda, ldc) = (m + 1 + case % 3, m + 2);
+                    let ldb = if b_trans { n + 3 } else { k + 1 };
+                    let a = rng.fill(lda * k);
+                    let b = rng.fill(ldb * if b_trans { k } else { n });
+                    let c0 = rng.fill(ldc * n);
+                    let tb = if b_trans { Trans::Trans } else { Trans::NoTrans };
+                    let mut got = c0.clone();
+                    gemm(Trans::NoTrans, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut got, ldc);
+                    let mut want = c0.clone();
+                    if m < dagfact_kernels::simd::MR {
+                        gemm_portable(
+                            Trans::NoTrans, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut want,
+                            ldc,
+                        );
+                    } else {
+                        fma_gemm_reference(
+                            b_trans, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut want, ldc,
+                        );
+                    }
+                    for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "m={m} n={n} k={k} b_trans={b_trans} α={alpha} β={beta} @{i}: \
+                             {x:?} vs {y:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(case > 0);
+}
+
+/// A well-conditioned `k×k` triangle in `uplo` with leading dimension
+/// `ldt`: diagonal in [2, 3), off-diagonal entries of order `1/k` (so
+/// long solves neither overflow nor underflow), NaN outside the triangle
+/// (never read).
+fn triangle(rng: &mut SplitMix64, k: usize, ldt: usize, upper: bool) -> Vec<f64> {
+    let mut t = vec![f64::NAN; ldt * k];
+    for j in 0..k {
+        for i in 0..k {
+            if (upper && i <= j) || (!upper && i >= j) {
+                let r = rng.unit();
+                t[j * ldt + i] = if i == j { 2.0 + r.abs() } else { r / k as f64 };
+            }
+        }
+    }
+    t
+}
+
+/// `X·op(T) = B` column by column: for each `j` in solve order, one
+/// multiply-add per already-solved `l` in ascending order (fused when
+/// `fused`), then the scale by `1/op(T)[j, j]`.
+#[allow(clippy::too_many_arguments)]
+fn trsm_right_reference(
+    upper_stored: bool,
+    trans: Trans,
+    unit: bool,
+    fused: bool,
+    m: usize,
+    n: usize,
+    t: &[f64],
+    ldt: usize,
+    b: &mut [f64],
+    ldb: usize,
+) {
+    let op = |l: usize, j: usize| match trans {
+        Trans::NoTrans => t[j * ldt + l],
+        _ => t[l * ldt + j],
+    };
+    // op(T) effectively upper ⇔ the solve runs ascending.
+    let ascending = upper_stored == (trans == Trans::NoTrans);
+    for jj in 0..n {
+        let j = if ascending { jj } else { n - 1 - jj };
+        let solved = if ascending { 0..j } else { j + 1..n };
+        for l in solved {
+            let s = -op(l, j);
+            for i in 0..m {
+                let (x, y) = (b[l * ldb + i], b[j * ldb + i]);
+                b[j * ldb + i] = if fused { f64::mul_add(x, s, y) } else { y + s * x };
+            }
+        }
+        if !unit {
+            let d = 1.0 / op(j, j);
+            for i in 0..m {
+                b[j * ldb + i] *= d;
+            }
+        }
+    }
+}
+
+/// The right-side TRSM against the per-column reference, bit for bit:
+/// the four ascending panel variants (Cholesky and LDLᵀ `Lower·Trans`,
+/// LU's `Upper·NoTrans` sides) cross the NB = 32 block edges, plus the
+/// descending variants and `m < 8`, which stay column by column. The
+/// reference fuses on the AVX2 tier and does plain multiply-add on the
+/// portable tier (the `--no-default-features` leg).
+#[test]
+fn trsm_right_matches_per_column_reference_bitwise() {
+    use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
+    let fused = dagfact_kernels::isa() == dagfact_kernels::Isa::Avx2;
+    let ascending = [
+        (Uplo::Lower, Trans::Trans, Diag::NonUnit),
+        (Uplo::Lower, Trans::Trans, Diag::Unit),
+        (Uplo::Upper, Trans::NoTrans, Diag::NonUnit),
+        (Uplo::Upper, Trans::NoTrans, Diag::Unit),
+    ];
+    let descending = [
+        (Uplo::Lower, Trans::NoTrans, Diag::NonUnit),
+        (Uplo::Upper, Trans::Trans, Diag::Unit),
+    ];
+    let mut rng = SplitMix64(0x7125_3B10_C4ED_0002);
+    for &(uplo, trans, diag) in ascending.iter().chain(&descending) {
+        for n in [1usize, 31, 32, 33, 64, 65, 130] {
+            for m in [1usize, 7, 8, 9, 37, 257] {
+                let (ldt, ldb) = (n + 3, m + 5);
+                let t = triangle(&mut rng, n, ldt, uplo == Uplo::Upper);
+                let b0 = rng.fill(ldb * n);
+                let mut got = b0.clone();
+                trsm(Side::Right, uplo, trans, diag, m, n, &t, ldt, &mut got, ldb);
+                let mut want = b0;
+                trsm_right_reference(
+                    uplo == Uplo::Upper,
+                    trans,
+                    diag == Diag::Unit,
+                    fused,
+                    m,
+                    n,
+                    &t,
+                    ldt,
+                    &mut want,
+                    ldb,
+                );
+                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert!(x.is_finite(), "{uplo:?}·{trans:?} m={m} n={n}: non-finite @{i}");
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{uplo:?}·{trans:?}·{diag:?} m={m} n={n} @{i}: {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Shape-contract regressions (the PR 9 bug burn-down)
 // ---------------------------------------------------------------------
 
