@@ -1,6 +1,6 @@
 # Convenience targets. The canonical gate is `make check`.
 
-.PHONY: build test bench check check-kernels check-robust check-analysis check-perfbench check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
+.PHONY: build test bench check check-kernels check-robust check-analysis check-perfbench check-memory check-trace check-concurrency check-serve check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
 
 build:
 	cargo build --release
@@ -19,13 +19,12 @@ bench:
 	cargo run -q --release -p dagfact-bench --bin tracesweep
 	cargo run -q --release -p dagfact-bench --bin servesweep
 	cargo run -q --release -p dagfact-bench --bin comm
-	cargo run -q --release -p dagfact-bench --bin distsweep
 	cargo run -q --release -p dagfact-bench --bin kernels_bench
 
 # The full gate: kernels + robustness + static-analysis + memory-budget +
-# observability + concurrency-verification + serving + distributed +
-# benchmark-harness suites.
-check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-perfbench
+# observability + concurrency-verification + serving + benchmark-harness
+# suites.
+check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-perfbench
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
 # SIMD-vs-portable fuzz suite with its bitwise tile and blocked-TRSM
@@ -91,17 +90,6 @@ check-serve:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-serve --test service_soak
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli serve
 	cargo run -q --release -p dagfact-bench --bin servesweep
-
-# Distributed-execution gate (DESIGN.md §14): the dist engine's unit
-# and integration suites (chaos sweep, traffic cross-check, recovery
-# edge cases), the CLI dist-mode tests, and the release-mode cluster
-# sweep (strong scaling + recovery overhead; wrong answers fail). The
-# retransmit/ack loom model rides in check-loom.
-check-dist:
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-core dist
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test dist_exec
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli dist
-	cargo run -q --release -p dagfact-bench --bin distsweep
 
 # Benchmark-harness gate: the perfbench package's own tests (metric
 # coverage, answer-check teeth, stage oracle, seed determinism). perfbench

@@ -21,13 +21,11 @@
 //! The library half hosts the proxy-matrix registry substituting for the
 //! University of Florida set (DESIGN.md §2).
 
-pub mod comm;
 pub mod json;
 pub mod matrices;
 pub mod microbench;
 pub mod traceviz;
 
-pub use comm::comm_study_json;
 pub use json::{write_results, Json};
 pub use matrices::{proxies, MatrixProxy};
 pub use microbench::Bench;

@@ -69,11 +69,6 @@ struct Opts {
     policy: SimPolicy,
     no_dynamic: bool,
     serve: ServeOpts,
-    /// Cluster width for the `dist` subcommand.
-    nodes: usize,
-    /// `dist --study`: also write the fan-in communication study to
-    /// `results/comm.json` (shared emitter with the `comm` bench bin).
-    study: bool,
 }
 
 /// Options specific to the `serve` subcommand.
@@ -107,13 +102,13 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// Usage text.
 pub fn usage() -> &'static str {
-    "usage:\n  dagfact analyze  <matrix.mtx> [--facto auto|chol|ldlt|lu]\n  dagfact solve    <matrix.mtx> [--facto …] [--runtime native|starpu|parsec]\n                   [--threads N] [--rhs file] [--refine N] [--output file]\n                   [--fault-plan spec] [--max-refactor-attempts N]\n                   [--mem-budget bytes[K|M|G]] [--spill-dir path]\n                   [--trace file.json] [--metrics]\n  dagfact simulate <matrix.mtx> [--facto …] [--cores N] [--gpus N]\n                   [--policy pastix|starpu|parsec] [--streams N]\n                   [--trace file.json]\n  dagfact verify   <matrix.mtx> [--facto …] [--threads N] [--no-dynamic]\n  dagfact serve    (--jobs file|- | --listen addr:port) [--workers N]\n                   [--queue-cap N] [--deadline-ms N] [--max-requests N]\n                   [--mem-budget bytes[K|M|G]] [--fault-plan spec]\n  dagfact dist     <matrix.mtx> [--facto …] [--nodes N] [--cores N]\n                   [--fault-plan spec] [--study]"
+    "usage:\n  dagfact analyze  <matrix.mtx> [--facto auto|chol|ldlt|lu]\n  dagfact solve    <matrix.mtx> [--facto …] [--runtime native|starpu|parsec]\n                   [--threads N] [--rhs file] [--refine N] [--output file]\n                   [--fault-plan spec] [--max-refactor-attempts N]\n                   [--mem-budget bytes[K|M|G]] [--spill-dir path]\n                   [--trace file.json] [--metrics]\n  dagfact simulate <matrix.mtx> [--facto …] [--cores N] [--gpus N]\n                   [--policy pastix|starpu|parsec] [--streams N]\n                   [--trace file.json]\n  dagfact verify   <matrix.mtx> [--facto …] [--threads N] [--no-dynamic]\n  dagfact serve    (--jobs file|- | --listen addr:port) [--workers N]\n                   [--queue-cap N] [--deadline-ms N] [--max-requests N]\n                   [--mem-budget bytes[K|M|G]] [--fault-plan spec]"
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
     let mut it = args.iter();
     let command = it.next().ok_or_else(|| usage().to_string())?.clone();
-    if !["analyze", "solve", "simulate", "verify", "serve", "dist"].contains(&command.as_str()) {
+    if !["analyze", "solve", "simulate", "verify", "serve"].contains(&command.as_str()) {
         return Err(format!("unknown command {command:?}\n{}", usage()));
     }
     // `serve` is a daemon: jobs carry their own matrices, so there is no
@@ -149,8 +144,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             queue_cap: 32,
             ..ServeOpts::default()
         },
-        nodes: 2,
-        study: false,
     };
     let mut streams = 3usize;
     let mut policy_name = String::from("parsec");
@@ -197,8 +190,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--trace" => opts.trace = Some(value()?),
             "--metrics" => opts.metrics = true,
             "--cores" => opts.cores = parse_num(&value()?)?,
-            "--nodes" => opts.nodes = parse_num(&value()?)?.max(1),
-            "--study" => opts.study = true,
             "--gpus" => opts.gpus = parse_num(&value()?)?,
             "--streams" => streams = parse_num(&value()?)?,
             "--no-dynamic" => opts.no_dynamic = true,
@@ -318,91 +309,6 @@ fn serve_cmd(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `dist` subcommand: factorize on the simulated cluster with the
-/// fault-tolerant fan-in protocol, verify the answer against `A·1`, and
-/// report the protocol counters. `--study` additionally writes the
-/// analytic communication study to `results/comm.json` through the same
-/// emitter the `comm` bench binary uses.
-fn dist_cmd<T: Scalar>(opts: &Opts, a: &CscMatrix<T>, complex: bool) -> Result<String, String> {
-    use dagfact_core::dist::{factorize_dist, DistOptions};
-    let facto = pick_facto(opts, a);
-    let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
-    let fault_plan = match &opts.fault_plan {
-        Some(spec) => Some(std::sync::Arc::new(
-            FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
-        )),
-        None => None,
-    };
-    let dopts = DistOptions {
-        nnodes: opts.nodes,
-        cores_per_node: opts.cores,
-        fault_plan,
-        ..DistOptions::default()
-    };
-    let (factors, report) =
-        factorize_dist(&analysis, a, &dopts).map_err(|e| format!("dist factorization: {e}"))?;
-    // b = A·1: the residual check proves the recovered factors are the
-    // real ones, not a lucky partial result.
-    let n = a.nrows();
-    let ones = vec![T::one(); n];
-    let mut b = vec![T::zero(); n];
-    a.spmv(&ones, &mut b);
-    let x = factors.solve(&b);
-    let mut ax = vec![T::zero(); n];
-    a.spmv(&x, &mut ax);
-    let resid = ax
-        .iter()
-        .zip(&b)
-        .map(|(&l, &r)| (l - r).modulus())
-        .fold(0.0f64, f64::max)
-        / b.iter().map(|v| v.modulus()).fold(0.0f64, f64::max).max(1e-300);
-    let mut out = String::new();
-    let _ = writeln!(out, "factorization: {} over {} nodes", facto.label(), report.nnodes);
-    let _ = writeln!(out, "makespan     : {:.6} s (virtual)", report.makespan);
-    let _ = writeln!(out, "tasks        : {}", report.tasks_executed);
-    let _ = writeln!(
-        out,
-        "fan-in pairs : {} messages, {:.1} KB",
-        report.data_messages,
-        report.bytes / 1024.0
-    );
-    let _ = writeln!(
-        out,
-        "transport    : {} send(s), {} retransmit(s), {} lost, {} dup injected, {} reordered",
-        report.sends,
-        report.retransmits,
-        report.messages_lost,
-        report.duplicates_injected,
-        report.reorders
-    );
-    let _ = writeln!(
-        out,
-        "protocol     : {} duplicate(s) absorbed, {} stale ack(s)",
-        report.duplicates_absorbed, report.stale_acks
-    );
-    if !report.crashes.is_empty() {
-        let _ = writeln!(
-            out,
-            "failures     : crashed nodes {:?}, {} adoption(s), {} panel(s) replayed",
-            report.crashes, report.recoveries, report.panels_restored
-        );
-    }
-    let _ = writeln!(out, "residual     : {resid:.3e} (b = A·1)");
-    if opts.study {
-        let widths: Vec<usize> = [1usize, 2, 4, 8]
-            .into_iter()
-            .filter(|&w| w != opts.nodes)
-            .chain(std::iter::once(opts.nodes))
-            .collect();
-        let record = dagfact_bench::comm_study_json(&opts.matrix, &analysis, complex, &widths);
-        let doc = dagfact_bench::Json::obj().field("records", vec![record]);
-        let path = dagfact_bench::write_results("comm", &doc)
-            .map_err(|e| format!("writing results/comm.json: {e}"))?;
-        let _ = writeln!(out, "study        : {}", path.display());
-    }
-    Ok(out)
-}
-
 /// Sniff the Matrix Market header for the `complex` field.
 fn matrix_is_complex(path: &str) -> Result<bool, String> {
     let content = std::fs::read_to_string(path)
@@ -422,7 +328,6 @@ fn dispatch<T: Scalar>(opts: &Opts, complex: bool) -> Result<String, String> {
         "solve" => solve(opts, &a),
         "simulate" => simulate_cmd(opts, &a, complex),
         "verify" => verify_cmd(opts, &a),
-        "dist" => dist_cmd(opts, &a, complex),
         _ => unreachable!(),
     }
 }
@@ -984,58 +889,11 @@ mod tests {
     fn bad_usage_is_reported() {
         assert!(run(&args(&[])).is_err());
         assert!(run(&args(&["frobnicate", "x.mtx"])).is_err());
+        // `dist` is not a command: it gets the normal unknown-command error.
+        let err = run(&args(&["dist", "x.mtx", "--nodes", "2"])).unwrap_err();
+        assert!(err.starts_with("unknown command \"dist\"\nusage:"), "{err}");
         assert!(run(&args(&["solve"])).is_err());
         let path = write_temp("badflag", &grid_laplacian_3d(3, 3, 3));
         assert!(run(&args(&["solve", &path, "--bogus"])).is_err());
-    }
-
-    fn dist_residual(out: &str) -> f64 {
-        out.lines()
-            .find(|l| l.starts_with("residual"))
-            .unwrap_or_else(|| panic!("no residual line in {out}"))
-            .split(':')
-            .nth(1)
-            .unwrap()
-            .split_whitespace()
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    }
-
-    #[test]
-    fn dist_zero_fault_reports_traffic_and_solves() {
-        let path = write_temp("dist", &grid_laplacian_3d(6, 6, 6));
-        let out = run(&args(&["dist", &path, "--nodes", "3"])).unwrap();
-        assert!(out.contains("over 3 nodes"), "{out}");
-        assert!(out.contains("fan-in pairs"), "{out}");
-        assert!(!out.contains("failures"), "{out}");
-        assert!(dist_residual(&out) < 1e-10, "{out}");
-    }
-
-    #[test]
-    fn dist_with_node_crash_recovers_and_reports_it() {
-        let path = write_temp("distcrash", &grid_laplacian_3d(6, 6, 6));
-        let out = run(&args(&[
-            "dist", &path, "--nodes", "3", "--fault-plan", "crash=1x1,mloss=0.05,seed=9",
-        ]))
-        .unwrap();
-        assert!(out.contains("failures"), "{out}");
-        assert!(out.contains("adoption"), "{out}");
-        assert!(dist_residual(&out) < 1e-10, "{out}");
-    }
-
-    #[test]
-    fn dist_study_writes_the_shared_comm_json() {
-        let path = write_temp("diststudy", &grid_laplacian_3d(5, 5, 5));
-        let out = run(&args(&["dist", &path, "--nodes", "2", "--study"])).unwrap();
-        assert!(out.contains("study"), "{out}");
-        let json = std::fs::read_to_string("results/comm.json").unwrap();
-        assert!(json.contains("\"fan_in\""), "{json}");
-        assert!(json.contains("\"messages\""), "{json}");
-        assert!(json.contains("\"nnodes\": 2"), "{json}");
-        // Don't leave test artifacts in the crate directory.
-        let _ = std::fs::remove_file("results/comm.json");
-        let _ = std::fs::remove_dir("results");
     }
 }

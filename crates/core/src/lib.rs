@@ -27,7 +27,6 @@
 
 pub mod analysis;
 pub mod coeftab;
-pub mod dist;
 pub mod distributed;
 pub mod numeric;
 pub mod psolve;
@@ -42,7 +41,6 @@ pub mod verify;
 
 pub use analysis::{Analysis, AnalysisStats, SolverOptions};
 pub use verify::{EngineReport, VerifyOptions, VerifyOutcome};
-pub use dist::{check_dist_static, dist_graph_spec, factorize_dist, DistError, DistOptions, DistReport};
 pub use distributed::{fan_in_study, CommStats, FanInStudy};
 pub use numeric::{ExecOptions, FactorStats, Factors};
 pub use refine::RefinedSolve;

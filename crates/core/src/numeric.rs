@@ -88,12 +88,7 @@ struct Workspace<T> {
 }
 
 /// Everything the task bodies need, shared across workers.
-///
-/// `pub(crate)`: the distributed engine (`crate::dist`) reuses the task
-/// bodies — panel factorization, local updates, and the
-/// buffer-destination [`NumericCtx::update_into`] that accumulates a
-/// fan-in contribution without touching the target panel.
-pub(crate) struct NumericCtx<'a, T: Scalar> {
+struct NumericCtx<'a, T: Scalar> {
     analysis: &'a Analysis,
     tab: &'a CoefTab<T>,
     /// LDLᵀ diagonal (length n; unused otherwise).
@@ -126,49 +121,6 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
-    /// Context for the distributed engine (`crate::dist`): no memory
-    /// budget, no engine-level retry semantics, and panels are never
-    /// retired to the pager — crash recovery replays tasks that re-read
-    /// panels whose historical read count is long exhausted, so the
-    /// read countdown is pinned effectively-infinite.
-    pub(crate) fn for_dist(
-        analysis: &'a Analysis,
-        tab: &'a CoefTab<T>,
-        d: &'a SharedSlice<T>,
-        threshold: f64,
-        nworkers: usize,
-    ) -> NumericCtx<'a, T> {
-        NumericCtx {
-            analysis,
-            tab,
-            d,
-            threshold,
-            fault: None,
-            budget: None,
-            engine_retries: false,
-            remaining_reads: (0..analysis.symbol.ncblk())
-                .map(|_| AtomicUsize::new(usize::MAX / 2))
-                .collect(),
-            pivots_repaired: AtomicUsize::new(0),
-            error: Mutex::new(None),
-            workspaces: (0..nworkers.max(1))
-                .map(|_| Mutex::new(Workspace::default()))
-                .collect(),
-            panel_locks: (0..analysis.symbol.ncblk()).map(|_| Mutex::new(())).collect(),
-        }
-    }
-
-    /// Take the first recorded task error, leaving the context clean.
-    pub(crate) fn take_error(&self) -> Option<SolverError> {
-        self.error.lock().take()
-    }
-
-    /// Pivots bumped by static pivoting so far.
-    pub(crate) fn pivots(&self) -> usize {
-        // ORDERING: statistics counter.
-        self.pivots_repaired.load(Ordering::Relaxed)
-    }
-
     fn failed(&self) -> bool {
         self.error.lock().is_some()
     }
@@ -264,7 +216,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     // ------------------------------------------------------------------
 
     /// Factorize panel `c` in place and solve its off-diagonal blocks.
-    pub(crate) fn panel_task(&self, c: usize, worker: usize) {
+    fn panel_task(&self, c: usize, worker: usize) {
         if self.failed() {
             return;
         }
@@ -407,7 +359,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// true when the caller's DAG does not order updates into a common
     /// target against each other (the native 1D graph): the write then
     /// becomes a lock-protected accumulation.
-    pub(crate) fn update_task(
+    fn update_task(
         &self,
         c: usize,
         bi: usize,
@@ -475,59 +427,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         }
     }
 
-    /// Accumulate the update of block `bi` from panel `c` into
-    /// caller-owned buffers laid out exactly like the target panel
-    /// (`tcb.stride × tcb.width()`, zero-initialized) instead of the live
-    /// panel — the distributed engine's fan-in pair buffers. Only the
-    /// *source* panel is pinned; applying the buffer to the real target is
-    /// the receiver's elementwise add. Does not consume a read of panel
-    /// `c` (the dist context never retires panels: recovery replay may
-    /// re-read any factored panel). `false` when a recorded error stopped
-    /// the run.
-    pub(crate) fn update_into(
-        &self,
-        c: usize,
-        bi: usize,
-        worker: usize,
-        ldst: &mut [T],
-        udst: Option<&mut [T]>,
-    ) -> bool {
-        if self.failed() {
-            return false;
-        }
-        let symbol = &self.analysis.symbol;
-        let cb = &symbol.cblks[c];
-        let block = &symbol.blocks[bi];
-        let n = block.nrows();
-        let m = cb.stride - block.local_offset;
-        let Some(lsrc_pin) = self.pin_or_fail(self.tab.pin_l(symbol, c), c, false) else {
-            return false;
-        };
-        let usrc_pin = if self.analysis.facto == FactoKind::Lu {
-            match self.pin_or_fail(self.tab.pin_u(symbol, c), c, false) {
-                Some(p) => Some(p),
-                None => return false,
-            }
-        } else {
-            None
-        };
-        let mut ws = self.workspaces[worker].lock();
-        let ws = &mut *ws;
-        let cols_l = self.plan_cols(&mut ws.tmp_charged, m, n);
-        // SAFETY: panel c is factored and read-only here; the destination
-        // buffers are exclusively owned by the caller.
-        let lsrc = unsafe { lsrc_pin.slice() };
-        let usrc = usrc_pin.as_ref().map(|p| unsafe { p.slice() });
-        self.update_kernel(c, bi, ws, cols_l, None, lsrc, usrc, ldst, udst);
-        !self.failed()
-    }
-
-    /// The facto-specific GEMM + scatter math of one update, shared by
-    /// [`NumericCtx::update_task`] (destination = the live target panel)
-    /// and [`NumericCtx::update_into`] (destination = a fan-in pair
-    /// buffer with the target panel's layout). `cols_l` is the
-    /// pre-decided scatter-buffer plan for the m×n L-side GEMM; `pack`
-    /// is the supernode's packed B-panel when the 1D task built one.
+    /// The facto-specific GEMM + scatter math of one
+    /// [`NumericCtx::update_task`], writing into the pinned target panel.
+    /// `cols_l` is the pre-decided scatter-buffer plan for the m×n L-side
+    /// GEMM; `pack` is the supernode's packed B-panel when the 1D task
+    /// built one.
     #[allow(clippy::too_many_arguments)]
     fn update_kernel(
         &self,
@@ -1183,7 +1087,7 @@ impl Analysis {
     /// Post-factorization scan for NaN/Inf coefficients: numeric breakdown
     /// the pivot checks cannot see (corruption in off-diagonal blocks
     /// never touched by a later pivot) must not reach the solve phase.
-    pub(crate) fn sweep_non_finite<T: Scalar>(
+    fn sweep_non_finite<T: Scalar>(
         &self,
         tab: &CoefTab<T>,
         d: &SharedSlice<T>,

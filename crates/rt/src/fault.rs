@@ -88,34 +88,8 @@ pub struct FaultPlan {
     /// Per-site count of alloc failures already delivered (both pinned
     /// and sampled draw down from the same consumption record).
     alloc_used: Mutex<HashMap<usize, u32>>,
-    /// Cluster nodes pinned to crash after completing K tasks (the dist
-    /// engine queries [`FaultPlan::node_crash_point`]).
-    crash_pinned: HashMap<usize, u32>,
-    /// Probability ∈ [0, 1] that a sampled node crashes, with the
-    /// task-completion count after which it dies.
-    random_crash: Option<(f64, u32)>,
-    /// Probability that a given message send is lost in transit.
-    msg_loss: Option<f64>,
-    /// Probability that a given message send is delivered twice.
-    msg_dup: Option<f64>,
-    /// Probability that a given message send is delayed past later
-    /// traffic (reordering).
-    msg_reorder: Option<f64>,
     /// Total faults injected so far (all kinds).
     injected: AtomicUsize,
-}
-
-/// What the lossy network does to one message send (see
-/// [`FaultPlan::message_fate`]). The fates are independent: a message can
-/// be duplicated *and* have one copy delayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MsgFate {
-    /// The (first) delivery is dropped in transit.
-    pub lost: bool,
-    /// A second copy of the message is delivered.
-    pub duplicated: bool,
-    /// Delivery is delayed past later traffic (reordering).
-    pub reordered: bool,
 }
 
 impl FaultPlan {
@@ -187,99 +161,6 @@ impl FaultPlan {
     pub fn random_alloc_fail(mut self, prob: f64, failures: u32) -> Self {
         self.random_alloc = Some((prob, failures));
         self
-    }
-
-    /// Pin a node crash: cluster node `node` dies after completing
-    /// `after_tasks` tasks (0 = before doing any work).
-    pub fn crash_node_on(mut self, node: usize, after_tasks: u32) -> Self {
-        self.crash_pinned.insert(node, after_tasks);
-        self
-    }
-
-    /// Sample node crashes on roughly `prob · nnodes` cluster nodes, each
-    /// dying after completing `after_tasks` tasks.
-    pub fn random_crash(mut self, prob: f64, after_tasks: u32) -> Self {
-        self.random_crash = Some((prob, after_tasks));
-        self
-    }
-
-    /// Lose roughly `prob` of message sends in transit.
-    pub fn message_loss(mut self, prob: f64) -> Self {
-        self.msg_loss = Some(prob);
-        self
-    }
-
-    /// Deliver roughly `prob` of message sends twice.
-    pub fn message_dup(mut self, prob: f64) -> Self {
-        self.msg_dup = Some(prob);
-        self
-    }
-
-    /// Delay roughly `prob` of message sends past later traffic.
-    pub fn message_reorder(mut self, prob: f64) -> Self {
-        self.msg_reorder = Some(prob);
-        self
-    }
-
-    /// After how many task completions does cluster node `node` crash?
-    /// `None` = the node survives the run. Pinned crashes take precedence
-    /// over the sampled mode; the sampled decision is deterministic per
-    /// `(seed, node)` like every other sampled fault. Pure query — the
-    /// dist engine calls [`FaultPlan::note_injection`] when it actually
-    /// delivers the crash.
-    pub fn node_crash_point(&self, node: usize) -> Option<u32> {
-        if let Some(&k) = self.crash_pinned.get(&node) {
-            return Some(k);
-        }
-        let (p, k) = self.random_crash?;
-        let draw = splitmix64(
-            self.seed ^ 0xC4A5_4E0D_DEAD_0001 ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        (unit < p).then_some(k)
-    }
-
-    /// The lossy network's verdict on message send number `seq` (a
-    /// globally unique per-send sequence number). Each fate is sampled
-    /// independently with its own salt, so `mloss`/`mdup`/`mreorder`
-    /// rates compose without shadowing each other. Deterministic per
-    /// `(seed, seq)`; every triggered fate counts as one injected fault.
-    pub fn message_fate(&self, seq: u64) -> MsgFate {
-        let mut fate = MsgFate::default();
-        let roll = |salt: u64, prob: Option<f64>| -> bool {
-            let Some(p) = prob else { return false };
-            let draw = splitmix64(self.seed ^ salt ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-            let hit = unit < p;
-            if hit {
-                // ORDERING: statistics counter; no memory is published.
-                self.injected.fetch_add(1, Ordering::Relaxed);
-            }
-            hit
-        };
-        fate.lost = roll(0x1057_AB1E_5EA5_0001, self.msg_loss);
-        fate.duplicated = roll(0xD0B1_ED00_5EA5_0002, self.msg_dup);
-        fate.reordered = roll(0x2E02_DE2E_5EA5_0003, self.msg_reorder);
-        fate
-    }
-
-    /// Record one injected fault delivered outside the plan's own hooks
-    /// (e.g. the dist engine crashing a node at its
-    /// [`FaultPlan::node_crash_point`]).
-    pub fn note_injection(&self) {
-        // ORDERING: statistics counter; no memory is published.
-        self.injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Does the plan inject any distributed fault (node crash or message
-    /// loss/duplication/reorder)? Zero-fault dist runs use this to skip
-    /// protocol bookkeeping they cannot need.
-    pub fn has_dist_faults(&self) -> bool {
-        !self.crash_pinned.is_empty()
-            || self.random_crash.is_some()
-            || self.msg_loss.is_some()
-            || self.msg_dup.is_some()
-            || self.msg_reorder.is_some()
     }
 
     /// Corrupt the output of panel `panel` with NaN, once.
@@ -412,11 +293,8 @@ impl FaultPlan {
     /// (or `nan=PxK` for K corruptions), `tprob=P.PxK` (sampled
     /// transients), `pprob=P.P` (sampled panics), `dprob=P.P:MICROS`
     /// (sampled delays), `alloc=SITExK` (pinned allocation failures),
-    /// `aprob=P.PxK` (sampled allocation failures), `crash=NODExK` (node
-    /// NODE dies after K task completions), `cprob=P.PxK` (sampled node
-    /// crashes), `mloss=P.P` / `mdup=P.P` / `mreorder=P.P` (message
-    /// loss / duplication / reorder rates for the dist engine).
-    /// Example: `seed=42,transient=3x2,nan=0,crash=1x4,mloss=0.05`.
+    /// `aprob=P.PxK` (sampled allocation failures).
+    /// Example: `seed=42,transient=3x2,nan=0,alloc=64x1`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for item in spec.split(',').filter(|s| !s.is_empty()) {
@@ -479,31 +357,6 @@ impl FaultPlan {
                     let p: f64 = p.parse().map_err(|e| format!("{item:?}: {e}"))?;
                     plan = plan.random_alloc_fail(p, num(k)? as u32);
                 }
-                "crash" => {
-                    let (n, k) = value
-                        .split_once('x')
-                        .ok_or_else(|| format!("{item:?}: expected crash=NODExCOUNT"))?;
-                    plan = plan.crash_node_on(num(n)? as usize, num(k)? as u32);
-                }
-                "cprob" => {
-                    let (p, k) = value
-                        .split_once('x')
-                        .ok_or_else(|| format!("{item:?}: expected cprob=PROBxCOUNT"))?;
-                    let p: f64 = p.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.random_crash(p, num(k)? as u32);
-                }
-                "mloss" => {
-                    let p: f64 = value.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.message_loss(p);
-                }
-                "mdup" => {
-                    let p: f64 = value.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.message_dup(p);
-                }
-                "mreorder" => {
-                    let p: f64 = value.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.message_reorder(p);
-                }
                 other => return Err(format!("unknown fault directive {other:?}")),
             }
         }
@@ -562,24 +415,6 @@ impl core::fmt::Display for FaultPlan {
         }
         if let Some((p, k)) = self.random_alloc {
             parts.push(format!("aprob={p}x{k}"));
-        }
-        let mut crash: Vec<(usize, u32)> =
-            self.crash_pinned.iter().map(|(&n, &k)| (n, k)).collect();
-        crash.sort_by_key(|&(n, _)| n);
-        for (node, after) in crash {
-            parts.push(format!("crash={node}x{after}"));
-        }
-        if let Some((p, k)) = self.random_crash {
-            parts.push(format!("cprob={p}x{k}"));
-        }
-        if let Some(p) = self.msg_loss {
-            parts.push(format!("mloss={p}"));
-        }
-        if let Some(p) = self.msg_dup {
-            parts.push(format!("mdup={p}"));
-        }
-        if let Some(p) = self.msg_reorder {
-            parts.push(format!("mreorder={p}"));
         }
         write!(f, "{}", parts.join(","))
     }
@@ -1332,68 +1167,17 @@ mod tests {
     }
 
     #[test]
-    fn node_crash_pinned_and_sampled() {
-        let plan = FaultPlan::new().crash_node_on(2, 3);
-        assert_eq!(plan.node_crash_point(2), Some(3));
-        assert_eq!(plan.node_crash_point(0), None);
-        assert!(plan.has_dist_faults());
-        assert!(!FaultPlan::new().has_dist_faults());
-        // Sampled crashes are deterministic per (seed, node) and hit at
-        // roughly the requested rate.
-        let decide = |node| FaultPlan::with_seed(13).random_crash(0.25, 1).node_crash_point(node);
-        let hits = (0..1024).filter(|&n| decide(n).is_some()).count();
-        assert!((130..420).contains(&hits), "sampled crash rate off: {hits}/1024");
-        for node in 0..64 {
-            assert_eq!(decide(node), decide(node), "node {node}");
+    fn cluster_fault_directives_are_unknown() {
+        // `--fault-plan` specs come from users: node-crash and message
+        // loss/dup/reorder keys have no engine to act on, so they must be
+        // refused, not silently accepted.
+        for spec in ["crash=1x3", "cprob=0.1x2", "mloss=0.05", "mdup=0.02", "mreorder=0.1"] {
+            let key = spec.split_once('=').unwrap().0;
+            match FaultPlan::parse(spec) {
+                Err(e) => assert_eq!(e, format!("unknown fault directive {key:?}"), "{spec}"),
+                Ok(plan) => panic!("{spec:?} parsed as {plan}"),
+            }
         }
-        // Pinned beats sampled.
-        let plan = FaultPlan::with_seed(13).random_crash(0.0, 9).crash_node_on(5, 7);
-        assert_eq!(plan.node_crash_point(5), Some(7));
-    }
-
-    #[test]
-    fn message_fates_are_deterministic_and_independent() {
-        let plan = FaultPlan::with_seed(21)
-            .message_loss(0.3)
-            .message_dup(0.3)
-            .message_reorder(0.3);
-        let twin = FaultPlan::with_seed(21)
-            .message_loss(0.3)
-            .message_dup(0.3)
-            .message_reorder(0.3);
-        let (mut lost, mut dup, mut reord, mut all_three) = (0, 0, 0, 0);
-        for seq in 0..2048u64 {
-            let f = plan.message_fate(seq);
-            assert_eq!(f, twin.message_fate(seq), "seq {seq}");
-            lost += f.lost as usize;
-            dup += f.duplicated as usize;
-            reord += f.reordered as usize;
-            all_three += (f.lost && f.duplicated && f.reordered) as usize;
-        }
-        for (name, n) in [("lost", lost), ("dup", dup), ("reorder", reord)] {
-            assert!((400..900).contains(&n), "{name} rate off: {n}/2048");
-        }
-        // Independent salts: the conjunction shows up at ~p³, not ~p.
-        assert!(all_three < 150, "fates not independent: {all_three}/2048");
-        // A message-free plan injects nothing.
-        assert_eq!(FaultPlan::new().message_fate(7), MsgFate::default());
-        assert!(plan.faults_injected() > 0);
-    }
-
-    #[test]
-    fn parse_dist_directives() {
-        let plan =
-            FaultPlan::parse("seed=4,crash=1x3,cprob=0.1x2,mloss=0.05,mdup=0.02,mreorder=0.1")
-                .unwrap();
-        assert_eq!(plan.node_crash_point(1), Some(3));
-        assert_eq!(plan.random_crash, Some((0.1, 2)));
-        assert_eq!(plan.msg_loss, Some(0.05));
-        assert_eq!(plan.msg_dup, Some(0.02));
-        assert_eq!(plan.msg_reorder, Some(0.1));
-        assert!(plan.has_dist_faults());
-        assert!(FaultPlan::parse("crash=1").is_err());
-        assert!(FaultPlan::parse("cprob=0.1").is_err());
-        assert!(FaultPlan::parse("mloss=x").is_err());
     }
 
     #[test]
@@ -1401,7 +1185,7 @@ mod tests {
         let specs = [
             "seed=9,transient=3x2,panic=7,delay=1:250,nan=0,tprob=0.05x1",
             "panic=2,nan=4x3,pprob=0.125,dprob=0.25:100,alloc=64x2,aprob=0.5x3",
-            "seed=8,crash=0x2,crash=3x1,cprob=0.25x4,mloss=0.1,mdup=0.05,mreorder=0.2",
+            "seed=8,alloc=0x2,alloc=3x1,aprob=0.25x4,transient=5x1",
             "seed=42",
             "",
         ];

@@ -51,7 +51,6 @@
 pub mod budget;
 pub mod dataflow;
 pub mod deque;
-pub mod distproto;
 pub mod fault;
 pub mod model;
 pub mod native;
@@ -62,10 +61,8 @@ pub mod trace;
 pub mod verify;
 
 pub use budget::{BudgetError, MemoryBudget, MemoryStats, PhaseStats, PressureLevel};
-pub use distproto::{ApplyLog, RetransmitExhausted, SendState};
 pub use fault::{
-    CancelToken, EngineError, FaultPlan, MsgFate, RetryPolicy, RunConfig, RunReport,
-    TransientFault,
+    CancelToken, EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport, TransientFault,
 };
 pub use shared::{release_pending, ReleaseUnderflow, SharedSlice};
 pub use trace::{Span, SpanKind, Trace, TraceRecorder};

@@ -9,15 +9,14 @@
 //! they prove the checker can see the failure class at all.
 //!
 //! The components under test are the real ones — `release_pending`,
-//! `WorkerDeque`, `MemoryBudget`, `TraceRecorder`/`Lane`,
-//! `ApplyLog`/`SendState` — compiled against the model backend of
-//! [`dagfact_rt::sync`], not re-transcribed pseudo-code.
+//! `WorkerDeque`, `MemoryBudget`, `TraceRecorder`/`Lane` — compiled
+//! against the model backend of [`dagfact_rt::sync`], not re-transcribed
+//! pseudo-code.
 
 #![cfg(loom)]
 
 use dagfact_rt::budget::{MemoryBudget, PressureLevel};
 use dagfact_rt::deque::WorkerDeque;
-use dagfact_rt::distproto::{ApplyLog, SendState};
 use dagfact_rt::model::{self, cell::ModelCell, thread};
 use dagfact_rt::release_pending;
 use dagfact_rt::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -212,7 +211,7 @@ fn deque_check_then_act_on_snapshot_panics_somewhere() {
 }
 
 // ---------------------------------------------------------------------
-// Model 7: Chase-Lev batched steal (ROADMAP item 5)
+// Model 6: Chase-Lev batched steal
 // ---------------------------------------------------------------------
 
 /// A thief batch-steals (one `top` CAS per item) while the owner pops:
@@ -551,90 +550,6 @@ fn trace_shared_unsynchronized_buffer_is_a_data_race() {
         t.join();
     })
     .expect_err("two unsynchronized flushes must race");
-    assert!(failure.message.contains("data race"), "got: {failure}");
-}
-
-// ---------------------------------------------------------------------
-// Model 6: dist retransmit/ack — idempotent apply under duplicate
-// delivery (DESIGN.md §14)
-// ---------------------------------------------------------------------
-
-/// A retransmitted fan-in message races its original into the receiver:
-/// the apply log admits exactly one of the two concurrent deliveries,
-/// the winner's payload write is visible to whoever observes the key as
-/// applied, duplicate final acks collapse to one completion, and
-/// duplicate Release messages free the retained buffer exactly once —
-/// in **every** interleaving.
-#[test]
-fn dist_duplicate_delivery_applies_exactly_once() {
-    model::check(|| {
-        let log = Arc::new(ApplyLog::new());
-        let send = Arc::new(SendState::new(4));
-        let panel = Arc::new(ModelCell::new(0u32));
-        let acks = Arc::new(AtomicU32::new(0));
-        let freed = Arc::new(AtomicU32::new(0));
-
-        let (l2, s2, p2, a2, f2) = (
-            Arc::clone(&log),
-            Arc::clone(&send),
-            Arc::clone(&panel),
-            Arc::clone(&acks),
-            Arc::clone(&freed),
-        );
-        let t = thread::spawn(move || {
-            // Delivery of the retransmitted copy (pair 1, epoch 0).
-            if l2.apply_if_new(1, 0) {
-                p2.with_mut(|v| *v += 5);
-            }
-            // Its ack (the sender may see two of these).
-            if s2.mark_acked() {
-                a2.fetch_add(1, Ordering::AcqRel);
-            }
-            // A duplicated Release for the retained buffer.
-            if s2.mark_released() {
-                f2.fetch_add(1, Ordering::AcqRel);
-            }
-        });
-
-        // Delivery of the original copy of the same message.
-        if log.apply_if_new(1, 0) {
-            panel.with_mut(|v| *v += 5);
-        }
-        if send.mark_acked() {
-            acks.fetch_add(1, Ordering::AcqRel);
-        }
-        if send.mark_released() {
-            freed.fetch_add(1, Ordering::AcqRel);
-        }
-
-        t.join();
-        // The apply-log mutex is the happens-before edge: whoever joins
-        // both threads sees the single application.
-        assert_eq!(panel.read(), 5, "payload applied exactly once");
-        assert_eq!(acks.load(Ordering::Acquire), 1, "duplicate final ack absorbed");
-        assert_eq!(freed.load(Ordering::Acquire), 1, "buffer freed exactly once");
-        assert!(send.is_acked());
-        assert!(send.is_released());
-    });
-}
-
-/// Teeth: the same duplicate delivery *without* the apply log — both
-/// copies scatter into the panel unsynchronized. The explorer must
-/// report the data race (and in the interleavings where both complete,
-/// the panel would hold 2× the contribution: the silent-corruption case
-/// the log exists to prevent).
-#[test]
-fn dist_duplicate_delivery_without_apply_log_is_a_data_race() {
-    let failure = model::try_check(|| {
-        let panel = Arc::new(ModelCell::new(0u32));
-        let p2 = Arc::clone(&panel);
-        let t = thread::spawn(move || {
-            p2.with_mut(|v| *v += 5);
-        });
-        panel.with_mut(|v| *v += 5);
-        t.join();
-    })
-    .expect_err("unlogged duplicate applications must race");
     assert!(failure.message.contains("data race"), "got: {failure}");
 }
 
